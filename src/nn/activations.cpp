@@ -31,8 +31,10 @@ Tanh::Tanh(std::string name) : Layer(std::move(name)) {}
 
 Tensor Tanh::forward(const Tensor& input, bool /*training*/) {
   output_ = input;
-  for (std::size_t i = 0; i < output_.numel(); ++i) {
-    output_[i] = std::tanh(output_[i]);
+  float* y = output_.data();
+  const std::size_t n = output_.numel();
+  for (std::size_t i = 0; i < n; ++i) {
+    y[i] = std::tanh(y[i]);
   }
   return output_;
 }
@@ -41,8 +43,11 @@ Tensor Tanh::backward(const Tensor& grad_output) {
   XB_CHECK(grad_output.shape() == output_.shape(),
            "Tanh backward shape mismatch");
   Tensor grad = grad_output;
-  for (std::size_t i = 0; i < grad.numel(); ++i) {
-    grad[i] *= 1.0f - output_[i] * output_[i];
+  float* g = grad.data();
+  const float* y = output_.data();
+  const std::size_t n = grad.numel();
+  for (std::size_t i = 0; i < n; ++i) {
+    g[i] *= 1.0f - y[i] * y[i];
   }
   return grad;
 }

@@ -1,6 +1,8 @@
 #include "nn/conv.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -33,23 +35,26 @@ Tensor Conv2D::forward(const Tensor& input, bool /*training*/) {
                input.shape().to_string());
   const std::size_t batch = input.shape()[0];
   const std::size_t pixels = geometry_.out_h() * geometry_.out_w();
-  Tensor out(Shape{batch, out_channels_ * pixels});
-  patches_.assign(batch, Tensor());
+  const std::size_t out_row = out_channels_ * pixels;
+  Tensor out(Shape{batch, out_row});
+  const Tensor weight_t = weight_.transposed();  // (out_ch, patch)
+  const float* bias = bias_.data();
+  patches_.resize(batch);  // surviving buffers are reused
   // Samples are independent: each writes its own patches_ slot and its own
   // row of `out`, so the batch fans out across the pool bit-identically.
   parallel_for(0, batch, 1, [&](std::size_t b_begin, std::size_t b_end) {
     for (std::size_t b = b_begin; b < b_end; ++b) {
-      Tensor image(Shape{per_sample},
-                   std::vector<float>(input.data() + b * per_sample,
-                                      input.data() + (b + 1) * per_sample));
-      patches_[b] = im2col(image, geometry_);
-      // (pixels, patch) * (patch, out_ch) -> (pixels, out_ch)
-      Tensor y = matmul(patches_[b], weight_);
-      // Transpose to channel-major (out_ch, pixels) so the flattened
-      // feature layout stays NCHW-compatible for downstream pooling.
-      for (std::size_t p = 0; p < pixels; ++p) {
-        for (std::size_t c = 0; c < out_channels_; ++c) {
-          out.at(b, c * pixels + p) = y.at(p, c) + bias_[c];
+      im2col_transposed(input.flat().subspan(b * per_sample, per_sample),
+                        geometry_, patches_[b]);
+      // (out_ch, patch) * (patch, pixels) -> (out_ch, pixels): the
+      // channel-major NCHW layout downstream pooling reads, written
+      // straight into the sample's row.
+      float* y = out.data() + b * out_row;
+      matmul_accumulate(weight_t, patches_[b], std::span(y, out_row));
+      for (std::size_t c = 0; c < out_channels_; ++c) {
+        float* channel = y + c * pixels;
+        for (std::size_t p = 0; p < pixels; ++p) {
+          channel[p] += bias[c];
         }
       }
     }
@@ -66,23 +71,26 @@ Tensor Conv2D::forward_quantized(const Tensor& input, const QuantSpec& spec) {
                input.shape().to_string());
   const std::size_t batch = input.shape()[0];
   const std::size_t pixels = geometry_.out_h() * geometry_.out_w();
+  const std::size_t out_row = out_channels_ * pixels;
   // One weight coding shared by the whole batch; activations are coded
   // per sample (each sample's im2col patches get their own range). The
   // training-path patches_ cache is left untouched — this is an
   // inference-only path.
   const QuantizedTensor qw = quantize_weights(weight_, spec);
-  Tensor out(Shape{batch, out_channels_ * pixels});
+  const float* bias = bias_.data();
+  Tensor out(Shape{batch, out_row});
   parallel_for(0, batch, 1, [&](std::size_t b_begin, std::size_t b_end) {
     for (std::size_t b = b_begin; b < b_end; ++b) {
-      Tensor image(Shape{per_sample},
-                   std::vector<float>(input.data() + b * per_sample,
-                                      input.data() + (b + 1) * per_sample));
-      const Tensor patches = im2col(image, geometry_);
+      const Tensor patches = im2col(
+          input.flat().subspan(b * per_sample, per_sample), geometry_);
       const QuantizedTensor qa = quantize_activations(patches);
-      Tensor y = quantized_linear(qa, qw, nullptr);
-      for (std::size_t p = 0; p < pixels; ++p) {
-        for (std::size_t c = 0; c < out_channels_; ++c) {
-          out.at(b, c * pixels + p) = y.at(p, c) + bias_[c];
+      // (pixels, out_ch), transposed into the sample's channel-major row.
+      const Tensor y = quantized_linear(qa, qw, nullptr);
+      const float* yp = y.data();
+      float* row = out.data() + b * out_row;
+      for (std::size_t c = 0; c < out_channels_; ++c) {
+        for (std::size_t p = 0; p < pixels; ++p) {
+          row[c * pixels + p] = yp[p * out_channels_ + c] + bias[c];
         }
       }
     }
@@ -93,9 +101,10 @@ Tensor Conv2D::forward_quantized(const Tensor& input, const QuantSpec& spec) {
 Tensor Conv2D::backward(const Tensor& grad_output) {
   const std::size_t batch = patches_.size();
   const std::size_t pixels = geometry_.out_h() * geometry_.out_w();
+  const std::size_t out_row = out_channels_ * pixels;
   XB_CHECK(grad_output.shape().rank() == 2 &&
                grad_output.shape()[0] == batch &&
-               grad_output.shape()[1] == out_channels_ * pixels,
+               grad_output.shape()[1] == out_row,
            "Conv2D backward shape mismatch");
   const std::size_t per_sample =
       geometry_.in_channels * geometry_.in_h * geometry_.in_w;
@@ -107,24 +116,28 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
   std::vector<Tensor> bgrad_partial(batch);
   parallel_for(0, batch, 1, [&](std::size_t b_begin, std::size_t b_end) {
     for (std::size_t b = b_begin; b < b_end; ++b) {
-      // Rebuild the (pixels, out_ch) gradient for this sample.
+      // Rebuild the (pixels, out_ch) gradient for this sample; each bias
+      // gradient sums its channel in ascending pixel order.
+      const float* g = grad_output.data() + b * out_row;
       Tensor gy(Shape{pixels, out_channels_});
       Tensor bg(Shape{out_channels_});
-      for (std::size_t p = 0; p < pixels; ++p) {
-        for (std::size_t c = 0; c < out_channels_; ++c) {
-          const float g = grad_output.at(b, c * pixels + p);
-          gy.at(p, c) = g;
-          bg[c] += g;
+      float* gyp = gy.data();
+      for (std::size_t c = 0; c < out_channels_; ++c) {
+        const float* channel = g + c * pixels;
+        float sum = 0.0f;
+        for (std::size_t p = 0; p < pixels; ++p) {
+          gyp[p * out_channels_ + c] = channel[p];
+          sum += channel[p];
         }
+        bg.data()[c] = sum;
       }
-      // dW += patches^T gy ; dPatches = gy W^T ; dX = col2im(dPatches)
-      wgrad_partial[b] = matmul_tn(patches_[b], gy);
+      // dW += patches^T gy ; dPatches = gy W^T ; dX = col2im(dPatches).
+      // The cache already holds patches^T, so dW is a plain product.
+      wgrad_partial[b] = matmul(patches_[b], gy);
       bgrad_partial[b] = std::move(bg);
-      Tensor gpatches = matmul_nt(gy, weight_);
-      Tensor gimage = col2im(gpatches, geometry_);
-      for (std::size_t i = 0; i < per_sample; ++i) {
-        grad_input.at(b, i) = gimage[i];
-      }
+      const Tensor gimage = col2im(matmul_nt(gy, weight_), geometry_);
+      std::copy_n(gimage.data(), per_sample,
+                  grad_input.data() + b * per_sample);
     }
   });
   for (std::size_t b = 0; b < batch; ++b) {

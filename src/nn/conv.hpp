@@ -8,9 +8,15 @@ namespace xbarlife::nn {
 
 /// Convolution over NCHW inputs flattened to (batch, C*H*W) rows.
 ///
-/// The kernel tensor is stored as a (patch_size, out_channels) matrix so the
-/// per-sample computation is `im2col(x) * W`, exactly the orientation the
-/// crossbar mapper expects (inputs drive rows, output channels are columns).
+/// The kernel tensor is stored as a (patch_size, out_channels) matrix W —
+/// the orientation the crossbar mapper expects (inputs drive rows, output
+/// channels are columns), in which the per-sample product is
+/// `im2col(x) * W`. The float path computes its transpose instead,
+/// `W^T * im2col(x)^T`, which lands directly in the channel-major NCHW
+/// output row and keeps the SIMD tile full when out_channels is small.
+/// Each output element is the same ascending-k chain either way, so the
+/// bits match `im2col(x) * W` per kernel variant (docs/kernels.md,
+/// "Convolution lowering").
 class Conv2D final : public Layer {
  public:
   Conv2D(ConvGeometry geometry, std::size_t out_channels, Rng& rng,
@@ -35,7 +41,9 @@ class Conv2D final : public Layer {
   Tensor bias_;         // (out_channels)
   Tensor weight_grad_;
   Tensor bias_grad_;
-  std::vector<Tensor> patches_;  // cached im2col per sample
+  // Cached im2col(x)^T per sample of the last forward, (patch_size,
+  // pixels); the buffers are reused across calls.
+  std::vector<Tensor> patches_;
 };
 
 }  // namespace xbarlife::nn

@@ -29,10 +29,12 @@ Tensor Dense::forward(const Tensor& input, bool /*training*/) {
                input.shape().to_string());
   input_ = input;
   Tensor out = matmul(input, weight_);
-  const std::size_t batch = out.shape()[0];
+  const std::size_t batch = input.shape()[0];
+  const float* bias = bias_.data();
   for (std::size_t b = 0; b < batch; ++b) {
+    float* row = out.data() + b * out_features_;
     for (std::size_t j = 0; j < out_features_; ++j) {
-      out.at(b, j) += bias_[j];
+      row[j] += bias[j];
     }
   }
   return out;
@@ -58,9 +60,11 @@ Tensor Dense::backward(const Tensor& grad_output) {
   // dW = x^T dy ; db = sum over batch of dy ; dx = dy W^T
   weight_grad_.add_(matmul_tn(input_, grad_output));
   const std::size_t batch = grad_output.shape()[0];
+  float* bias_grad = bias_grad_.data();
   for (std::size_t b = 0; b < batch; ++b) {
+    const float* row = grad_output.data() + b * out_features_;
     for (std::size_t j = 0; j < out_features_; ++j) {
-      bias_grad_[j] += grad_output.at(b, j);
+      bias_grad[j] += row[j];
     }
   }
   return matmul_nt(grad_output, weight_);

@@ -34,10 +34,13 @@ Tensor MaxPool2D::forward(const Tensor& input, bool /*training*/) {
   const auto& g = geometry_;
   const std::size_t oh = g.out_h();
   const std::size_t ow = g.out_w();
-  Tensor out(Shape{batch_, g.channels * oh * ow});
-  argmax_.assign(batch_ * g.channels * oh * ow, 0);
+  const std::size_t per_out = g.channels * oh * ow;
+  Tensor out(Shape{batch_, per_out});
+  argmax_.assign(batch_ * per_out, 0);
   for (std::size_t b = 0; b < batch_; ++b) {
     const float* x = input.data() + b * g.channels * g.in_h * g.in_w;
+    float* y = out.data() + b * per_out;
+    std::size_t* arg = argmax_.data() + b * per_out;
     for (std::size_t c = 0; c < g.channels; ++c) {
       for (std::size_t oy = 0; oy < oh; ++oy) {
         for (std::size_t ox = 0; ox < ow; ++ox) {
@@ -55,8 +58,8 @@ Tensor MaxPool2D::forward(const Tensor& input, bool /*training*/) {
             }
           }
           const std::size_t o = (c * oh + oy) * ow + ox;
-          out.at(b, o) = best;
-          argmax_[b * g.channels * oh * ow + o] = best_idx;
+          y[o] = best;
+          arg[o] = best_idx;
         }
       }
     }

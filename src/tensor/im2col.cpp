@@ -17,8 +17,12 @@ void ConvGeometry::validate() const {
 }
 
 Tensor im2col(const Tensor& image, const ConvGeometry& g) {
+  return im2col(image.flat(), g);
+}
+
+Tensor im2col(std::span<const float> image, const ConvGeometry& g) {
   g.validate();
-  XB_CHECK(image.numel() == g.in_channels * g.in_h * g.in_w,
+  XB_CHECK(image.size() == g.in_channels * g.in_h * g.in_w,
            "im2col input numel mismatch");
   const std::size_t oh = g.out_h();
   const std::size_t ow = g.out_w();
@@ -74,6 +78,80 @@ Tensor im2col(const Tensor& image, const ConvGeometry& g) {
     }
   });
   return patches;
+}
+
+void im2col_transposed(std::span<const float> image, const ConvGeometry& g,
+                       Tensor& out) {
+  g.validate();
+  XB_CHECK(image.size() == g.in_channels * g.in_h * g.in_w,
+           "im2col input numel mismatch");
+  const std::size_t oh = g.out_h();
+  const std::size_t ow = g.out_w();
+  const std::size_t pixels = oh * ow;
+  const Shape shape{g.patch_size(), pixels};
+  if (out.shape() != shape) {
+    out = Tensor(shape);
+  }
+  const float* src = image.data();
+  float* dst = out.data();
+  const auto pad = static_cast<long long>(g.pad);
+  const auto stride = static_cast<long long>(g.stride);
+  const auto in_h = static_cast<long long>(g.in_h);
+  const auto in_w = static_cast<long long>(g.in_w);
+  const auto ow_ll = static_cast<long long>(ow);
+  // Divisions cost more than the short runs they bound; skip them for
+  // the common stride-1 case.
+  const auto div = [stride](long long v) {
+    return stride == 1 ? v : v / stride;
+  };
+  // Each channel owns a disjoint block of patch rows; like im2col, the
+  // gather is pure data movement and fans out bit-identically.
+  parallel_for(0, g.in_channels, 1, [&](std::size_t c_begin,
+                                        std::size_t c_end) {
+    for (std::size_t c = c_begin; c < c_end; ++c) {
+      float* prow = dst + c * g.kernel * g.kernel * pixels;
+      for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+        for (std::size_t kx = 0; kx < g.kernel; ++kx, prow += pixels) {
+          // Output columns [lo, hi) read the in-bounds source columns
+          // ix = ox*stride + shift; the rest are zero padding.
+          const long long shift = static_cast<long long>(kx) - pad;
+          const long long lo =
+              shift >= 0 ? 0 : std::min(ow_ll, div(stride - 1 - shift));
+          const long long last = in_w - 1 - shift;
+          const long long hi =
+              last < 0 ? lo : std::clamp(div(last) + 1, lo, ow_ll);
+          for (std::size_t oy = 0; oy < oh; ++oy) {
+            float* row = prow + oy * ow;
+            const long long iy =
+                static_cast<long long>(oy * g.stride + ky) - pad;
+            if (iy < 0 || iy >= in_h) {
+              std::fill(row, row + ow, 0.0f);
+              continue;
+            }
+            const float* src_row =
+                src + (c * g.in_h + static_cast<std::size_t>(iy)) * g.in_w;
+            // Fills and copies compile to memset/memcpy calls, which cost
+            // more than the few floats of a short run (deep layers have
+            // out_w of a few pixels): skip empty fills, copy short runs
+            // inline.
+            if (lo > 0) {
+              std::fill(row, row + lo, 0.0f);
+            }
+            if (stride == 1 && hi - lo >= 8) {
+              std::copy_n(src_row + lo + shift, hi - lo, row + lo);
+            } else {
+              for (long long ox = lo; ox < hi; ++ox) {
+                row[ox] = src_row[ox * stride + shift];
+              }
+            }
+            if (hi < ow_ll) {
+              std::fill(row + hi, row + ow_ll, 0.0f);
+            }
+          }
+        }
+      }
+    }
+  });
 }
 
 Tensor col2im(const Tensor& patches, const ConvGeometry& g) {

@@ -36,19 +36,20 @@ inline __m256i tail_mask(std::size_t active) {
 /// Packs B[k0:k1, j0:j0+width] into a (k1-k0) x kNr column panel,
 /// zero-padding the lanes past `width`. Zero pad lanes are safe: the
 /// store side never writes them, and 0 * a stays confined to the lane.
+/// Masked loads fill those lanes with zeros and never touch memory past
+/// the panel's columns; plain copy loops here compile to a memcpy and a
+/// memset call per row, which dominate narrow panels.
 inline void pack_b(const float* b, float* panel, std::size_t n,
                    std::size_t k0, std::size_t k1, std::size_t j0,
                    std::size_t width) {
+  const __m256i m_lo = tail_mask(width < 8 ? width : 8);
+  const __m256i m_hi = tail_mask(width > 8 ? width - 8 : 0);
   for (std::size_t kk = k0; kk < k1; ++kk) {
     const float* src = b + kk * n + j0;
     float* dst = panel + (kk - k0) * kNr;
-    std::size_t j = 0;
-    for (; j < width; ++j) {
-      dst[j] = src[j];
-    }
-    for (; j < kNr; ++j) {
-      dst[j] = 0.0f;
-    }
+    _mm256_store_ps(dst, _mm256_maskload_ps(src, m_lo));
+    _mm256_store_ps(dst + 8, width > 8 ? _mm256_maskload_ps(src + 8, m_hi)
+                                       : _mm256_setzero_ps());
   }
 }
 
@@ -58,12 +59,15 @@ inline void pack_b(const float* b, float* panel, std::size_t n,
 /// caller partitioned rows, so results are bit-identical at any thread
 /// count.
 ///
+/// kHi = false drops the upper 8 lanes of the tile for panels at most 8
+/// columns wide; the lower lanes' chains are unchanged.
+///
 /// The accumulators are individually named __m256 locals on purpose:
 /// with `__m256 acc[kRows]` arrays gcc keeps the tile in stack memory
 /// and interchanges the loops, turning the register tile into a
 /// load-FMA-store stream at a third of the throughput. Named locals +
 /// if constexpr pin all 12 accumulators in ymm registers.
-template <std::size_t kRows>
+template <std::size_t kRows, bool kHi>
 inline void micro_kernel(const float* a, const float* panel, float* c,
                          std::size_t k, std::size_t n, std::size_t i0,
                          std::size_t j0, std::size_t k0, std::size_t kc,
@@ -76,34 +80,47 @@ inline void micro_kernel(const float* a, const float* panel, float* c,
   const float* ap = a + i0 * k + k0;
   for (std::size_t kk = 0; kk < kc; ++kk) {
     const __m256 b_lo = _mm256_load_ps(panel + kk * kNr);
-    const __m256 b_hi = _mm256_load_ps(panel + kk * kNr + 8);
+    [[maybe_unused]] const __m256 b_hi =
+        kHi ? _mm256_load_ps(panel + kk * kNr + 8) : zero;
     __m256 a_bc = _mm256_broadcast_ss(ap + kk);
     c0l = _mm256_fmadd_ps(a_bc, b_lo, c0l);
-    c0h = _mm256_fmadd_ps(a_bc, b_hi, c0h);
+    if constexpr (kHi) {
+      c0h = _mm256_fmadd_ps(a_bc, b_hi, c0h);
+    }
     if constexpr (kRows > 1) {
       a_bc = _mm256_broadcast_ss(ap + k + kk);
       c1l = _mm256_fmadd_ps(a_bc, b_lo, c1l);
-      c1h = _mm256_fmadd_ps(a_bc, b_hi, c1h);
+      if constexpr (kHi) {
+        c1h = _mm256_fmadd_ps(a_bc, b_hi, c1h);
+      }
     }
     if constexpr (kRows > 2) {
       a_bc = _mm256_broadcast_ss(ap + 2 * k + kk);
       c2l = _mm256_fmadd_ps(a_bc, b_lo, c2l);
-      c2h = _mm256_fmadd_ps(a_bc, b_hi, c2h);
+      if constexpr (kHi) {
+        c2h = _mm256_fmadd_ps(a_bc, b_hi, c2h);
+      }
     }
     if constexpr (kRows > 3) {
       a_bc = _mm256_broadcast_ss(ap + 3 * k + kk);
       c3l = _mm256_fmadd_ps(a_bc, b_lo, c3l);
-      c3h = _mm256_fmadd_ps(a_bc, b_hi, c3h);
+      if constexpr (kHi) {
+        c3h = _mm256_fmadd_ps(a_bc, b_hi, c3h);
+      }
     }
     if constexpr (kRows > 4) {
       a_bc = _mm256_broadcast_ss(ap + 4 * k + kk);
       c4l = _mm256_fmadd_ps(a_bc, b_lo, c4l);
-      c4h = _mm256_fmadd_ps(a_bc, b_hi, c4h);
+      if constexpr (kHi) {
+        c4h = _mm256_fmadd_ps(a_bc, b_hi, c4h);
+      }
     }
     if constexpr (kRows > 5) {
       a_bc = _mm256_broadcast_ss(ap + 5 * k + kk);
       c5l = _mm256_fmadd_ps(a_bc, b_lo, c5l);
-      c5h = _mm256_fmadd_ps(a_bc, b_hi, c5h);
+      if constexpr (kHi) {
+        c5h = _mm256_fmadd_ps(a_bc, b_hi, c5h);
+      }
     }
   }
   const std::size_t lo_active = width < 8 ? width : 8;
@@ -116,10 +133,41 @@ inline void micro_kernel(const float* a, const float* panel, float* c,
     float* crow = c + (i0 + r) * n + j0;
     const __m256 c_lo = _mm256_maskload_ps(crow, m_lo);
     _mm256_maskstore_ps(crow, m_lo, _mm256_add_ps(c_lo, acc_lo[r]));
-    if (hi_active > 0) {
+    if (kHi && hi_active > 0) {
       const __m256 c_hi = _mm256_maskload_ps(crow + 8, m_hi);
       _mm256_maskstore_ps(crow + 8, m_hi, _mm256_add_ps(c_hi, acc_hi[r]));
     }
+  }
+}
+
+/// Runs the register tiles over rows [row_begin, row_end) of one panel.
+template <bool kHi>
+void row_tiles(const float* a, const float* panel, float* c, std::size_t k,
+               std::size_t n, std::size_t row_begin, std::size_t row_end,
+               std::size_t j0, std::size_t k0, std::size_t kc,
+               std::size_t width) {
+  std::size_t i = row_begin;
+  for (; i + kMr <= row_end; i += kMr) {
+    micro_kernel<kMr, kHi>(a, panel, c, k, n, i, j0, k0, kc, width);
+  }
+  switch (row_end - i) {
+    case 1:
+      micro_kernel<1, kHi>(a, panel, c, k, n, i, j0, k0, kc, width);
+      break;
+    case 2:
+      micro_kernel<2, kHi>(a, panel, c, k, n, i, j0, k0, kc, width);
+      break;
+    case 3:
+      micro_kernel<3, kHi>(a, panel, c, k, n, i, j0, k0, kc, width);
+      break;
+    case 4:
+      micro_kernel<4, kHi>(a, panel, c, k, n, i, j0, k0, kc, width);
+      break;
+    case 5:
+      micro_kernel<5, kHi>(a, panel, c, k, n, i, j0, k0, kc, width);
+      break;
+    default:
+      break;
   }
 }
 
@@ -133,28 +181,12 @@ void gemm_avx2(const float* a, const float* b, float* c, std::size_t m,
     for (std::size_t j0 = 0; j0 < n; j0 += kNr) {
       const std::size_t width = j0 + kNr < n ? kNr : n - j0;
       pack_b(b, panel, n, k0, k0 + kc, j0, width);
-      std::size_t i = row_begin;
-      for (; i + kMr <= row_end; i += kMr) {
-        micro_kernel<kMr>(a, panel, c, k, n, i, j0, k0, kc, width);
-      }
-      switch (row_end - i) {
-        case 1:
-          micro_kernel<1>(a, panel, c, k, n, i, j0, k0, kc, width);
-          break;
-        case 2:
-          micro_kernel<2>(a, panel, c, k, n, i, j0, k0, kc, width);
-          break;
-        case 3:
-          micro_kernel<3>(a, panel, c, k, n, i, j0, k0, kc, width);
-          break;
-        case 4:
-          micro_kernel<4>(a, panel, c, k, n, i, j0, k0, kc, width);
-          break;
-        case 5:
-          micro_kernel<5>(a, panel, c, k, n, i, j0, k0, kc, width);
-          break;
-        default:
-          break;
+      if (width > 8) {
+        row_tiles<true>(a, panel, c, k, n, row_begin, row_end, j0, k0, kc,
+                        width);
+      } else {
+        row_tiles<false>(a, panel, c, k, n, row_begin, row_end, j0, k0, kc,
+                         width);
       }
     }
   }

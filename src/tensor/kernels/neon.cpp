@@ -1,5 +1,6 @@
 // NEON kernel variant for aarch64, where NEON (ASIMD) is architectural.
 // Not compiled on other targets; the registry sees nullptr there.
+#include <cmath>
 #include <cstring>
 
 #include "tensor/kernels/kernels.hpp"
@@ -32,8 +33,10 @@ void gemm_neon(const float* a, const float* b, float* c, std::size_t m,
           vst1q_f32(crow + j,
                     vfmaq_f32(vld1q_f32(crow + j), av, vld1q_f32(brow + j)));
         }
+        // Fused like the vector lanes, so an element's bits do not
+        // depend on whether its column lands in the body or the tail.
         for (; j < n; ++j) {
-          crow[j] += a[i * k + kk] * brow[j];
+          crow[j] = std::fma(a[i * k + kk], brow[j], crow[j]);
         }
       }
     }

@@ -67,14 +67,25 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
 
 void matmul_accumulate(const Tensor& a, const Tensor& b, Tensor& c) {
   check_rank2(a, "A");
-  check_rank2(b, "B");
   check_rank2(c, "C");
-  const std::size_t m = a.shape()[0];
-  const std::size_t k = a.shape()[1];
-  if (b.shape()[0] != k || c.shape()[0] != m || c.shape()[1] != b.shape()[1]) {
+  // With the row count pinned, the span overload's size check pins the
+  // column count too.
+  if (c.shape()[0] != a.shape()[0]) {
     throw ShapeError("matmul_accumulate shape mismatch");
   }
-  gemm_dispatch(a.data(), b.data(), c.data(), m, k, b.shape()[1]);
+  matmul_accumulate(a, b, c.flat());
+}
+
+void matmul_accumulate(const Tensor& a, const Tensor& b, std::span<float> c) {
+  check_rank2(a, "A");
+  check_rank2(b, "B");
+  const std::size_t m = a.shape()[0];
+  const std::size_t k = a.shape()[1];
+  const std::size_t n = b.shape()[1];
+  if (b.shape()[0] != k || c.size() != m * n) {
+    throw ShapeError("matmul_accumulate shape mismatch");
+  }
+  gemm_dispatch(a.data(), b.data(), c.data(), m, k, n);
 }
 
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {

@@ -14,6 +14,8 @@
 // bytes.
 #pragma once
 
+#include <span>
+
 #include "tensor/tensor.hpp"
 
 namespace xbarlife {
@@ -31,6 +33,10 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b);
 
 /// c += A * B into a preallocated (M x N) accumulator.
 void matmul_accumulate(const Tensor& a, const Tensor& b, Tensor& c);
+
+/// c += A * B into M*N row-major floats, e.g. one row of a larger tensor
+/// that holds an (M x N) block per sample.
+void matmul_accumulate(const Tensor& a, const Tensor& b, std::span<float> c);
 
 /// Reference triple-loop GEMM used by tests to validate the dispatched
 /// kernels. Follows the same float-accumulate policy (see above).

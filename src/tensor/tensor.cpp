@@ -22,26 +22,6 @@ Tensor::Tensor(Shape shape, std::vector<float> values)
            "tensor data size must match shape " + shape_.to_string());
 }
 
-float& Tensor::operator[](std::size_t i) {
-  XB_CHECK(i < data_.size(), "tensor flat index out of range");
-  return data_[i];
-}
-
-float Tensor::operator[](std::size_t i) const {
-  XB_CHECK(i < data_.size(), "tensor flat index out of range");
-  return data_[i];
-}
-
-float& Tensor::at(std::size_t r, std::size_t c) {
-  XB_CHECK(shape_.rank() == 2, "2-D accessor on tensor " + shape_.to_string());
-  XB_CHECK(r < shape_[0] && c < shape_[1], "2-D index out of range");
-  return data_[r * shape_[1] + c];
-}
-
-float Tensor::at(std::size_t r, std::size_t c) const {
-  return const_cast<Tensor&>(*this).at(r, c);
-}
-
 float& Tensor::at(std::size_t n, std::size_t c, std::size_t h,
                   std::size_t w) {
   XB_CHECK(shape_.rank() == 4, "4-D accessor on tensor " + shape_.to_string());

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "tensor/shape.hpp"
 
@@ -34,12 +35,30 @@ class Tensor {
   float* data() { return data_.data(); }
   const float* data() const { return data_.data(); }
 
-  float& operator[](std::size_t i);
-  float operator[](std::size_t i) const;
+  // The flat and 2-D accessors are inline: per-element call sites (the
+  // tuner's sign updates, pooling backward) would otherwise pay an
+  // out-of-line call per element on top of the bounds checks.
+
+  /// Flat accessors (checked).
+  float& operator[](std::size_t i) {
+    XB_CHECK(i < data_.size(), "tensor flat index out of range");
+    return data_[i];
+  }
+  float operator[](std::size_t i) const {
+    return const_cast<Tensor&>(*this)[i];
+  }
 
   /// 2-D accessors (checked): requires rank 2.
-  float& at(std::size_t r, std::size_t c);
-  float at(std::size_t r, std::size_t c) const;
+  float& at(std::size_t r, std::size_t c) {
+    XB_CHECK(shape_.rank() == 2,
+             "2-D accessor on tensor " + shape_.to_string());
+    const std::size_t cols = shape_.dims()[1];
+    XB_CHECK(r < shape_.dims()[0] && c < cols, "2-D index out of range");
+    return data_[r * cols + c];
+  }
+  float at(std::size_t r, std::size_t c) const {
+    return const_cast<Tensor&>(*this).at(r, c);
+  }
 
   /// 4-D accessors (checked): requires rank 4 (N, C, H, W).
   float& at(std::size_t n, std::size_t c, std::size_t h, std::size_t w);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -9,6 +12,8 @@
 #include "nn/conv.hpp"
 #include "nn/dense.hpp"
 #include "nn/pool.hpp"
+#include "tensor/kernels/kernels.hpp"
+#include "tensor/matmul.hpp"
 
 namespace xbarlife::nn {
 namespace {
@@ -171,6 +176,122 @@ TEST(ConvLayer, ParallelBatchMatchesSerialBitwise) {
   EXPECT_TRUE(y_threaded == y_serial);
   EXPECT_TRUE(gx_threaded == gx_serial);
   EXPECT_TRUE(*params[0].grad == wgrad_serial);
+}
+
+/// One Conv2D training step assembled from the public tensor functions in
+/// the crossbar orientation: im2col(x) * W per sample, transposed into the
+/// channel-major output; dW += im2col(x)^T dY, dX = col2im(dY W^T).
+struct ConvReference {
+  Tensor y;
+  Tensor weight_grad;
+  Tensor bias_grad;
+  Tensor grad_input;
+};
+
+ConvReference reference_conv(const ConvGeometry& g, const Tensor& weight,
+                             const Tensor& bias, const Tensor& x,
+                             const Tensor& grad_y) {
+  const std::size_t batch = x.shape()[0];
+  const std::size_t per_sample = x.shape()[1];
+  const std::size_t pixels = g.out_h() * g.out_w();
+  const std::size_t out_ch = weight.shape()[1];
+  ConvReference ref{Tensor(Shape{batch, out_ch * pixels}),
+                    Tensor(weight.shape()), Tensor(bias.shape()),
+                    Tensor(x.shape())};
+  for (std::size_t b = 0; b < batch; ++b) {
+    const Tensor image(Shape{per_sample},
+                       std::vector<float>(x.data() + b * per_sample,
+                                          x.data() + (b + 1) * per_sample));
+    const Tensor patches = im2col(image, g);
+    const Tensor y = matmul(patches, weight);
+    Tensor gy(Shape{pixels, out_ch});
+    Tensor bias_grad(bias.shape());
+    for (std::size_t p = 0; p < pixels; ++p) {
+      for (std::size_t c = 0; c < out_ch; ++c) {
+        ref.y.at(b, c * pixels + p) = y.at(p, c) + bias[c];
+        gy.at(p, c) = grad_y.at(b, c * pixels + p);
+        bias_grad[c] += gy.at(p, c);
+      }
+    }
+    ref.weight_grad.add_(matmul_tn(patches, gy));
+    ref.bias_grad.add_(bias_grad);
+    const Tensor gimage = col2im(matmul_nt(gy, weight), g);
+    for (std::size_t i = 0; i < per_sample; ++i) {
+      ref.grad_input.at(b, i) = gimage[i];
+    }
+  }
+  return ref;
+}
+
+class ConvBitIdentity
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
+ protected:
+  void TearDown() override {
+    kernels::set_kernel("auto");
+    set_parallel_threads(1);
+  }
+};
+
+TEST_P(ConvBitIdentity, ChannelMajorLoweringMatchesReferenceExactly) {
+  // The layer computes W^T * im2col(x)^T, the transpose of the reference
+  // product. Every element is the same ascending-k chain, so forward,
+  // gradients and input gradient must match with ==, per kernel variant
+  // and at any thread count.
+  const auto [out_ch, batch] = GetParam();
+  const ConvGeometry geometries[] = {
+      {3, 9, 9, 3, 2, 1},    // pad 1, stride 2: a tail-only pixel panel
+      {3, 12, 11, 3, 1, 1},  // 132 pixels: full and tail panels
+  };
+  for (const ConvGeometry& g : geometries) {
+    Rng rng(out_ch * 100 + batch + g.stride);
+    Conv2D conv(g, out_ch, rng, "conv");
+    auto params = conv.params();
+    params[1].value->fill_gaussian(rng, 0.0f, 0.5f);  // nonzero bias
+    const std::size_t pixels = g.out_h() * g.out_w();
+    Tensor x(Shape{batch, g.in_channels * g.in_h * g.in_w});
+    x.fill_gaussian(rng, 0.0f, 1.0f);
+    Tensor gy(Shape{batch, out_ch * pixels});
+    gy.fill_gaussian(rng, 0.0f, 1.0f);
+    for (const std::string& name : kernels::available()) {
+      kernels::set_kernel(name);
+      const ConvReference ref =
+          reference_conv(g, conv.weight(), *params[1].value, x, gy);
+      for (const std::size_t threads : {1u, 4u}) {
+        set_parallel_threads(threads);
+        params[0].grad->fill(0.0f);
+        params[1].grad->fill(0.0f);
+        const std::string where = name + " threads=" +
+                                  std::to_string(threads) + " stride=" +
+                                  std::to_string(g.stride);
+        EXPECT_TRUE(conv.forward(x, true) == ref.y) << where;
+        EXPECT_TRUE(conv.backward(gy) == ref.grad_input) << where;
+        EXPECT_TRUE(*params[0].grad == ref.weight_grad) << where;
+        EXPECT_TRUE(*params[1].grad == ref.bias_grad) << where;
+      }
+      set_parallel_threads(1);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OutChannelsAndBatch, ConvBitIdentity,
+    ::testing::Combine(::testing::Values(5, 6, 17), ::testing::Values(1, 7)));
+
+TEST(ConvLayer, SmallerBatchAfterLargerUsesOnlyItsOwnSamples) {
+  // Patch buffers are reused across calls; a backward after a smaller
+  // batch must see exactly that batch.
+  Rng rng(8);
+  ConvGeometry g{1, 5, 5, 3, 1, 0};
+  Conv2D conv(g, 2, rng, "conv");
+  Tensor big(Shape{4, 25});
+  big.fill_gaussian(rng, 0.0f, 1.0f);
+  Tensor small(Shape{1, 25});
+  small.fill_gaussian(rng, 0.0f, 1.0f);
+  conv.forward(big, true);
+  const Tensor y = conv.forward(small, true);
+  EXPECT_EQ(y.shape(), (Shape{1, 18}));
+  EXPECT_EQ(conv.backward(Tensor(y.shape(), 1.0f)).shape(), (Shape{1, 25}));
+  EXPECT_THROW(conv.backward(Tensor(Shape{4, 18}, 1.0f)), InvalidArgument);
 }
 
 TEST(MaxPoolLayer, SelectsWindowMaxima) {

@@ -77,6 +77,32 @@ TEST(Im2col, InputSizeMismatchThrows) {
   EXPECT_THROW(im2col(Tensor(Shape{15}), g), InvalidArgument);
 }
 
+TEST(Im2colTransposed, ReusesBufferAndRewritesEveryElement) {
+  // Padded, strided and non-square: every lowered element, zero padding
+  // included, must be rewritten when the buffer is reused.
+  ConvGeometry g{2, 7, 6, 3, 2, 1};
+  Rng rng(5);
+  Tensor first(Shape{g.in_channels * g.in_h * g.in_w});
+  first.fill_gaussian(rng, 0.0f, 1.0f);
+  Tensor second(first.shape());
+  second.fill_gaussian(rng, 0.0f, 1.0f);
+  Tensor lowered(Shape{3, 3}, 42.0f);  // wrong shape: replaced
+  im2col_transposed(first.flat(), g, lowered);
+  EXPECT_TRUE(lowered == im2col(first, g).transposed());
+  const float* storage = lowered.data();
+  lowered.fill(42.0f);
+  im2col_transposed(second.flat(), g, lowered);
+  EXPECT_EQ(lowered.data(), storage);  // same shape: buffer reused
+  EXPECT_TRUE(lowered == im2col(second, g).transposed());
+}
+
+TEST(Im2colTransposed, InputSizeMismatchThrows) {
+  ConvGeometry g{1, 4, 4, 3, 1, 0};
+  Tensor image(Shape{15});
+  Tensor out;
+  EXPECT_THROW(im2col_transposed(image.flat(), g, out), InvalidArgument);
+}
+
 TEST(Col2im, IsAdjointOfIm2col) {
   // <im2col(x), y> == <x, col2im(y)> — the defining adjoint property,
   // checked with random tensors.
@@ -129,6 +155,19 @@ TEST_P(Im2colGeometrySweep, RoundtripAdjointHolds) {
     rhs += static_cast<double>(x[i]) * static_cast<double>(aty[i]);
   }
   EXPECT_NEAR(lhs, rhs, 1e-2);
+}
+
+TEST_P(Im2colGeometrySweep, TransposedLoweringEqualsIm2colTransposed) {
+  const auto [channels, side, kernel, pad] = GetParam();
+  for (const std::size_t stride : {1u, 2u}) {
+    ConvGeometry g{channels, side, side, kernel, stride, pad};
+    Rng rng(channels * 100 + side * 10 + kernel + stride);
+    Tensor x(Shape{g.in_channels * g.in_h * g.in_w});
+    x.fill_gaussian(rng, 0.0f, 1.0f);
+    Tensor lowered;
+    im2col_transposed(x.flat(), g, lowered);
+    EXPECT_TRUE(lowered == im2col(x, g).transposed()) << "stride " << stride;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -14,7 +14,6 @@
 //                      [--job-timeout MS] [--strict]
 //   xbarlife device    [--pulses N] [--target-r OHMS]
 //   xbarlife bench     [--reps N] [--dim N]
-//   xbarlife worker-status [--remote ADDR]
 //   xbarlife models
 //   xbarlife info
 //
@@ -24,27 +23,10 @@
 //   --kernel V       compute-kernel dispatch variant (auto|scalar|avx2|
 //                    neon, default auto or $XBARLIFE_KERNEL); each variant
 //                    is deterministic on its own, goldens pin scalar
-//   --executor V     crossbar programming backend (auto|sim|percell|remote,
+//   --executor V     crossbar programming backend (auto|sim|percell,
 //                    default auto/sim or $XBARLIFE_EXECUTOR); sim batches
 //                    pulse sequences per column, percell replays the
-//                    legacy one-call-per-cell path — both bit-identical;
-//                    remote ships sequences over xbarlife.wire.v1 to a
-//                    worker and falls back to sim when the link dies
-//   --remote ADDR    remote-executor endpoint: loopback (in-process worker
-//                    thread, default), unix:/path, or host:port (see
-//                    xbarlife-worker --listen); also $XBARLIFE_REMOTE.
-//                    A comma-separated list ("unix:/a,unix:/b,host:port")
-//                    builds a worker pool: each array is owned by one
-//                    endpoint (rendezvous hashing), failures fail over to
-//                    the next live worker, and sim fallback engages only
-//                    when the whole pool is down (docs/programming.md,
-//                    "Worker pools & failover")
-//   --remote-faults SPEC  deterministic transport fault injection for the
-//                    remote link, e.g. "seed=7,drop=0.1,corrupt=0.05,
-//                    dup=0.02,disconnect=0.01,delay_ms=1"; also
-//                    $XBARLIFE_REMOTE_FAULTS. Against a pool, a
-//                    ';'-separated list assigns spec i to endpoint i
-//                    (missing/empty segments leave that link clean)
+//                    legacy one-call-per-cell path — both bit-identical
 //   --json <path|->  write the versioned machine-readable result document
 //                    (schema xbarlife.result.v1, see docs/output_schema.md)
 //                    as the final JSONL line; "-" streams to stdout and
@@ -73,12 +55,21 @@
 //                    ETA, counter rollup) as the run advances, at a bounded
 //                    cadence — poll it with `watch cat PATH`
 //
+// Options are checked against the list the CLI reads (kKnownOptions):
+// an unknown option, or a numeric option whose value is empty, not a
+// number, has trailing characters, or is negative where a count is
+// expected, exits 2.
+//
 // Exit codes: 0 ok, 2 invalid argument/usage, 3 I/O failure,
 // 4 failed convergence (--strict), 5 internal error, 6 interrupted by a
 // cooperative shutdown (snapshot written, resumable), 7 checkpoint
 // corrupt with no valid fallback generation, 8 job/watchdog timeout,
 // 1 anything else. The full table lives in docs/output_schema.md.
+#include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
@@ -87,6 +78,9 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -102,7 +96,6 @@
 #include "core/scenario_runner.hpp"
 #include "core/sweep_checkpoint.hpp"
 #include "device/memristor.hpp"
-#include "net/wire.hpp"
 #include "nn/serialize.hpp"
 #include "obs/obs.hpp"
 #include "obs/perfetto.hpp"
@@ -113,12 +106,47 @@
 #include "tensor/kernels/kernels.hpp"
 #include "tensor/matmul.hpp"
 #include "xbar/executor.hpp"
-#include "xbar/pool.hpp"
-#include "xbar/remote.hpp"
 
 using namespace xbarlife;
 
 namespace {
+
+/// Every option some command reads. parse() rejects any other name, so a
+/// typo fails with exit 2 instead of silently running on the default.
+constexpr std::string_view kKnownOptions[] = {
+    "accuracy-floor", "checkpoint",  "chunk",      "compare-ladder",
+    "dim",            "executor",    "fault-seed", "job-timeout",
+    "json",           "kernel",      "line-resistance",
+    "model",          "no-ladder",   "out",        "profile",
+    "pulses",         "quantized",   "read-noise", "replicates",
+    "reps",           "scenario",    "seed",       "sessions",
+    "skewed",         "spare-rows",  "status-file", "strict",
+    "stuck-off",      "stuck-on",    "target-r",   "threads",
+    "trace",          "write-noise",
+};
+
+/// Parses the whole of `text` as a number for option `option`. Rejects
+/// an empty value, non-numeric text, trailing characters, a leading '-'
+/// on unsigned types and non-finite doubles, by throwing InvalidArgument.
+template <typename T>
+T parse_number(const std::string& text, std::string_view option) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const std::from_chars_result res =
+      std::from_chars(text.data(), end, value);
+  bool ok = !text.empty() && res.ec == std::errc() && res.ptr == end;
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ok && std::isfinite(value);
+  }
+  if (!ok) {
+    throw xbarlife::InvalidArgument(
+        "--" + std::string(option) + " expects " +
+        (std::is_floating_point_v<T> ? "a number"
+                                     : "a non-negative integer") +
+        ", got '" + text + "'");
+  }
+  return value;
+}
 
 struct Args {
   std::string command;
@@ -131,6 +159,23 @@ struct Args {
     auto it = options.find(name);
     return it != options.end() && !it->second.empty() ? it->second
                                                       : fallback;
+  }
+  /// Checked numeric reads: `fallback` when the option is absent,
+  /// otherwise its value through parse_number (an empty value throws).
+  template <typename T>
+  T number(const std::string& name, T fallback) const {
+    auto it = options.find(name);
+    return it == options.end() ? fallback
+                               : parse_number<T>(it->second, name);
+  }
+  std::size_t size(const std::string& name, std::size_t fallback) const {
+    return number(name, fallback);
+  }
+  std::uint64_t u64(const std::string& name, std::uint64_t fallback) const {
+    return number(name, fallback);
+  }
+  double real(const std::string& name, double fallback) const {
+    return number(name, fallback);
   }
 };
 
@@ -145,6 +190,11 @@ Args parse(int argc, char** argv) {
       throw xbarlife::InvalidArgument("unexpected argument: " + token);
     }
     token = token.substr(2);
+    if (std::find(std::begin(kKnownOptions), std::end(kKnownOptions),
+                  token) == std::end(kKnownOptions)) {
+      throw xbarlife::InvalidArgument("unknown option --" + token +
+                                      " (try: xbarlife info)");
+    }
     std::string value;
     if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
       value = argv[++i];
@@ -211,21 +261,9 @@ class CliOutput {
                                                           args.command);
       progress_->attach_counters(&registry_);
     }
-
-    // Let the remote executor drop its link-health counters (retries/
-    // reconnects/fallbacks) into the embedded metrics registry. Counters
-    // are created lazily on the first event, so clean runs emit none.
-    xbar::set_remote_metrics(&registry_);
-    // Same contract for client-side wire telemetry (net.frame_bytes_in/
-    // out, net.crc_failures): lazily created, so non-remote runs stay
-    // byte-identical. The worker side of a loopback link scopes its own
-    // registry per serving thread and never counts here.
-    net::set_wire_metrics(&registry_);
   }
 
   ~CliOutput() {
-    net::set_wire_metrics(nullptr);
-    xbar::set_remote_metrics(nullptr);
     // On the error paths emit() never runs; the status file must still
     // end on a finished snapshot so watchers see the run stop. Swallow
     // write failures — this is a destructor on an already-failing path.
@@ -351,13 +389,9 @@ class CliOutput {
 core::ExperimentConfig config_for(const Args& args) {
   core::ExperimentConfig cfg =
       core::make_model_config(args.get("model", "lenet5"));
-  if (args.flag("sessions")) {
-    cfg.lifetime.max_sessions =
-        static_cast<std::size_t>(std::stoul(args.get("sessions", "100")));
-  }
-  if (args.flag("seed")) {
-    cfg.seed = std::stoull(args.get("seed", "7"));
-  }
+  cfg.lifetime.max_sessions =
+      args.size("sessions", cfg.lifetime.max_sessions);
+  cfg.seed = args.u64("seed", cfg.seed);
   if (args.flag("quantized")) {
     cfg.lifetime.tuning.quantized_eval = true;
   }
@@ -385,35 +419,23 @@ core::Scenario scenario_for(const Args& args) {
 /// flags are reproducible without an extra option.
 void apply_fault_flags(const Args& args, core::ExperimentConfig& cfg) {
   tuning::HardwareFaultConfig& f = cfg.faults;
-  if (args.flag("stuck-off")) {
-    f.nonideal.stuck_off_fraction = std::stod(args.get("stuck-off", "0"));
-  }
-  if (args.flag("stuck-on")) {
-    f.nonideal.stuck_on_fraction = std::stod(args.get("stuck-on", "0"));
-  }
-  if (args.flag("write-noise")) {
-    f.nonideal.write_noise_sigma = std::stod(args.get("write-noise", "0"));
-  }
-  if (args.flag("read-noise")) {
-    f.nonideal.read_noise_sigma = std::stod(args.get("read-noise", "0"));
-  }
-  if (args.flag("line-resistance")) {
-    f.nonideal.line_resistance =
-        std::stod(args.get("line-resistance", "0"));
-  }
-  if (args.flag("spare-rows")) {
-    f.spare_rows = static_cast<std::size_t>(
-        std::stoul(args.get("spare-rows", "0")));
-  }
-  f.fault_seed =
-      std::stoull(args.get("fault-seed", std::to_string(cfg.seed)));
+  f.nonideal.stuck_off_fraction =
+      args.real("stuck-off", f.nonideal.stuck_off_fraction);
+  f.nonideal.stuck_on_fraction =
+      args.real("stuck-on", f.nonideal.stuck_on_fraction);
+  f.nonideal.write_noise_sigma =
+      args.real("write-noise", f.nonideal.write_noise_sigma);
+  f.nonideal.read_noise_sigma =
+      args.real("read-noise", f.nonideal.read_noise_sigma);
+  f.nonideal.line_resistance =
+      args.real("line-resistance", f.nonideal.line_resistance);
+  f.spare_rows = args.size("spare-rows", f.spare_rows);
+  f.fault_seed = args.u64("fault-seed", cfg.seed);
   if (args.flag("no-ladder")) {
     cfg.lifetime.resilience.ladder_enabled = false;
   }
-  if (args.flag("accuracy-floor")) {
-    cfg.lifetime.resilience.degraded_accuracy_floor =
-        std::stod(args.get("accuracy-floor", "0.5"));
-  }
+  cfg.lifetime.resilience.degraded_accuracy_floor = args.real(
+      "accuracy-floor", cfg.lifetime.resilience.degraded_accuracy_floor);
   f.validate();
   cfg.lifetime.resilience.validate();
 }
@@ -458,7 +480,7 @@ double job_timeout_for(const Args& args) {
   if (!args.flag("job-timeout")) {
     return 0.0;
   }
-  const double ms = std::stod(args.get("job-timeout", "0"));
+  const double ms = args.real("job-timeout", 0.0);
   if (ms <= 0.0) {
     throw xbarlife::InvalidArgument("--job-timeout must be positive");
   }
@@ -467,11 +489,7 @@ double job_timeout_for(const Args& args) {
 
 /// Validated --chunk value (jobs per snapshot; 16 when absent).
 std::size_t checkpoint_chunk_for(const Args& args) {
-  if (!args.flag("chunk")) {
-    return 16;
-  }
-  const auto chunk =
-      static_cast<std::size_t>(std::stoul(args.get("chunk", "16")));
+  const std::size_t chunk = args.size("chunk", 16);
   if (chunk == 0) {
     throw xbarlife::InvalidArgument("--chunk must be positive");
   }
@@ -631,9 +649,8 @@ void enforce_strict(const Args& args, std::ostream& human,
 
 int cmd_sweep(const Args& args, CliOutput& out) {
   core::ExperimentConfig cfg = config_for(args);
-  const auto replicates = static_cast<std::size_t>(
-      std::stoul(args.get("replicates", "2")));
-  core::ScenarioRunner runner(std::stoull(args.get("seed", "7")));
+  const std::size_t replicates = args.size("replicates", 2);
+  core::ScenarioRunner runner(args.u64("seed", 7));
   runner.set_job_timeout_ms(job_timeout_for(args));
   const auto jobs = core::ScenarioRunner::cross(
       cfg,
@@ -717,9 +734,8 @@ int cmd_faults(const Args& args, CliOutput& out) {
   core::FaultCampaignConfig campaign;
   campaign.base = config_for(args);
   campaign.scenarios = {scenario_for(args)};
-  campaign.replicates = static_cast<std::size_t>(
-      std::stoul(args.get("replicates", "1")));
-  campaign.campaign_seed = std::stoull(args.get("seed", "7"));
+  campaign.replicates = args.size("replicates", 1);
+  campaign.campaign_seed = args.u64("seed", 7);
   campaign.checkpoint_path = checkpoint_path_for(args);
   campaign.checkpoint_chunk = checkpoint_chunk_for(args);
   campaign.job_timeout_ms = job_timeout_for(args);
@@ -733,17 +749,14 @@ int cmd_faults(const Args& args, CliOutput& out) {
   const auto wns =
       split_list(args.get("write-noise", "0"), "write-noise");
   const auto rns = split_list(args.get("read-noise", "0"), "read-noise");
-  const double line_r = std::stod(args.get("line-resistance", "0"));
-  const auto spare_rows = static_cast<std::size_t>(
-      std::stoul(args.get("spare-rows", "0")));
+  const double line_r = args.real("line-resistance", 0.0);
+  const std::size_t spare_rows = args.size("spare-rows", 0);
   resilience::ResilienceConfig policy;
   if (args.flag("no-ladder")) {
     policy.ladder_enabled = false;
   }
-  if (args.flag("accuracy-floor")) {
-    policy.degraded_accuracy_floor =
-        std::stod(args.get("accuracy-floor", "0.5"));
-  }
+  policy.degraded_accuracy_floor =
+      args.real("accuracy-floor", policy.degraded_accuracy_floor);
   for (const std::string& off : offs) {
     for (const std::string& on : ons) {
       for (const std::string& wn : wns) {
@@ -751,10 +764,14 @@ int cmd_faults(const Args& args, CliOutput& out) {
           core::FaultPoint point;
           point.label =
               "off" + off + "_on" + on + "_wn" + wn + "_rn" + rn;
-          point.faults.nonideal.stuck_off_fraction = std::stod(off);
-          point.faults.nonideal.stuck_on_fraction = std::stod(on);
-          point.faults.nonideal.write_noise_sigma = std::stod(wn);
-          point.faults.nonideal.read_noise_sigma = std::stod(rn);
+          point.faults.nonideal.stuck_off_fraction =
+              parse_number<double>(off, "stuck-off");
+          point.faults.nonideal.stuck_on_fraction =
+              parse_number<double>(on, "stuck-on");
+          point.faults.nonideal.write_noise_sigma =
+              parse_number<double>(wn, "write-noise");
+          point.faults.nonideal.read_noise_sigma =
+              parse_number<double>(rn, "read-noise");
           point.faults.nonideal.line_resistance = line_r;
           point.faults.spare_rows = spare_rows;
           point.resilience = policy;
@@ -806,81 +823,14 @@ int cmd_faults(const Args& args, CliOutput& out) {
   return 0;
 }
 
-/// Queries a serving worker for one xbarlife.workerstats.v1 snapshot.
-/// With no --remote / $XBARLIFE_REMOTE a throwaway in-process loopback
-/// worker answers, which doubles as an end-to-end protocol self-test.
-/// A comma-separated endpoint list fans out across the fleet: one table
-/// row set per worker and one workerstats.v1 document (with an
-/// "endpoint" key) per endpoint, in list order. An unreachable endpoint
-/// fails the whole command — status must never silently shrink a fleet.
-int cmd_worker_status(const Args& args, CliOutput& out) {
-  xbar::RemoteConfig rcfg;
-  if (const char* env = std::getenv("XBARLIFE_REMOTE")) {
-    if (env[0] != '\0') {
-      rcfg.address = env;
-    }
-  }
-  if (args.flag("remote")) {
-    rcfg.address = args.get("remote", "loopback");
-  }
-
-  const bool fleet = rcfg.address.find(',') != std::string::npos;
-  if (!fleet) {
-    const xbar::WorkerStatsSnapshot snap = xbar::query_worker_status(rcfg);
-    TablePrinter table({"metric", "value"});
-    table.add_row({"endpoint", rcfg.address});
-    table.add_row({"build", snap.build});
-    table.add_row({"wire version", std::to_string(snap.wire_version)});
-    table.add_row({"request version",
-                   std::to_string(snap.request_version)});
-    table.add_row({"uptime (ms)", std::to_string(snap.uptime_ms)});
-    table.add_row({"requests served", std::to_string(snap.requests_served)});
-    table.add_row({"replay-cache hits", std::to_string(snap.replay_hits)});
-    table.add_row({"errors", std::to_string(snap.errors)});
-    table.add_row(
-        {"active connections", std::to_string(snap.active_connections)});
-    table.add_row(
-        {"connections total", std::to_string(snap.connections_total)});
-    out.human() << table.render();
-    out.finish_document("worker-status", snap.to_json());
-    return 0;
-  }
-
-  const std::vector<std::string> endpoints =
-      xbar::split_endpoints(rcfg.address);
-  TablePrinter table({"endpoint", "build", "uptime (ms)", "requests",
-                      "replays", "errors", "connections"});
-  std::vector<std::pair<std::string, xbar::WorkerStatsSnapshot>> snaps;
-  snaps.reserve(endpoints.size());
-  for (const std::string& endpoint : endpoints) {
-    xbar::RemoteConfig ecfg = rcfg;
-    ecfg.address = endpoint;
-    const xbar::WorkerStatsSnapshot snap = xbar::query_worker_status(ecfg);
-    table.add_row({endpoint, snap.build, std::to_string(snap.uptime_ms),
-                   std::to_string(snap.requests_served),
-                   std::to_string(snap.replay_hits),
-                   std::to_string(snap.errors),
-                   std::to_string(snap.active_connections) + "/" +
-                       std::to_string(snap.connections_total)});
-    snaps.emplace_back(endpoint, snap);
-  }
-  out.human() << table.render();
-  // One document per endpoint, list order; each carries its endpoint key.
-  for (const auto& [endpoint, snap] : snaps) {
-    out.finish_document("worker-status", snap.to_json(endpoint));
-  }
-  return 0;
-}
-
 int cmd_device(const Args& args, CliOutput& out) {
   device::DeviceParams dev;
   aging::AgingParams ap;
   ap.thermal_crosstalk = 0.0;
   aging::AgingModel model(ap);
   device::Memristor m(&dev, &model);
-  const auto pulses =
-      static_cast<std::size_t>(std::stoul(args.get("pulses", "100")));
-  const double target = std::stod(args.get("target-r", "30000"));
+  const std::size_t pulses = args.size("pulses", 100);
+  const double target = args.real("target-r", 30000.0);
   for (std::size_t i = 0; i < pulses; ++i) {
     m.program(target);
   }
@@ -913,10 +863,8 @@ int cmd_device(const Args& args, CliOutput& out) {
 /// bench/ binaries emit) so CI can gate on regressions with
 /// scripts/check_bench_regression.py.
 int cmd_bench(const Args& args, CliOutput& out) {
-  const auto reps = static_cast<std::size_t>(
-      std::stoul(args.get("reps", "5")));
-  const auto dim = static_cast<std::size_t>(
-      std::stoul(args.get("dim", "96")));
+  const std::size_t reps = args.size("reps", 5);
+  const std::size_t dim = args.size("dim", 96);
   if (reps == 0) {
     throw xbarlife::InvalidArgument("--reps must be at least 1");
   }
@@ -1011,29 +959,6 @@ int cmd_bench(const Args& args, CliOutput& out) {
       mapping::program_weights(xb_percell, w, plan, false, nullptr, nullptr,
                                nullptr, &percell);
     }));
-
-    // Remote programming over the in-process loopback worker: the same
-    // full-array write pass shipped as one wire.v1 round trip per rep.
-    // check_bench_regression.py bounds its overhead against batched.
-    const xbar::RemoteExecutor remote{xbar::RemoteConfig{}};
-    xbar::Crossbar xb_remote(n, n, {}, {});
-    samples.push_back(measure("program_remote_loopback", [&] {
-      mapping::program_weights(xb_remote, w, plan, false, nullptr, nullptr,
-                               nullptr, &remote);
-    }));
-
-    // Pool form of the same pass over three loopback workers: dispatch
-    // stays on the array's single rendezvous owner, so the pool's cost
-    // over one remote link is pure bookkeeping.
-    // check_bench_regression.py gates pool(3) <= remote(1) (with slack).
-    xbar::RemoteConfig pool_cfg;
-    pool_cfg.address = "loopback,loopback,loopback";
-    const xbar::PoolExecutor pool{pool_cfg};
-    xbar::Crossbar xb_pool(n, n, {}, {});
-    samples.push_back(measure("program_pool3_loopback", [&] {
-      mapping::program_weights(xb_pool, w, plan, false, nullptr, nullptr,
-                               nullptr, &pool);
-    }));
   }
 
   out.human() << core::bench_table(samples);
@@ -1094,14 +1019,8 @@ int cmd_info() {
              "            age a single device and report its window\n"
              "  bench     [--reps N] [--dim N]\n"
              "            in-process perf smoke (GEMM, int8 GEMM, lifetime\n"
-             "            scenario, sweep fan-out, batched vs per-cell vs\n"
-             "            remote-loopback programming); --json emits\n"
-             "            xbarlife.bench.v1\n"
-             "  worker-status [--remote ADDR]\n"
-             "            query a serving worker for one live\n"
-             "            xbarlife.workerstats.v1 snapshot (uptime,\n"
-             "            requests, replay hits, latency histograms);\n"
-             "            --json emits the document\n"
+             "            scenario, sweep fan-out, batched vs per-cell\n"
+             "            programming); --json emits xbarlife.bench.v1\n"
              "  models    list registered models\n"
              "  info      this text\n\n"
              "fault options (lifetime: scalars; faults: comma lists for\n"
@@ -1124,26 +1043,10 @@ int cmd_info() {
              "                  are bit-identical per variant at any thread\n"
              "                  count, goldens pin scalar\n"
              "  --executor V    crossbar programming backend: auto|sim|\n"
-             "                  percell|remote (default auto/sim or\n"
+             "                  percell (default auto/sim or\n"
              "                  $XBARLIFE_EXECUTOR); sim executes batched\n"
              "                  ProgramSequences, percell the legacy\n"
-             "                  per-cell path — outputs are bit-identical;\n"
-             "                  remote ships sequences to a worker over\n"
-             "                  xbarlife.wire.v1 with retry/backoff and\n"
-             "                  graceful fallback to sim\n"
-             "  --remote ADDR   remote-executor endpoint: loopback (default,\n"
-             "                  in-process worker thread), unix:/path, or\n"
-             "                  host:port (see xbarlife-worker); also\n"
-             "                  $XBARLIFE_REMOTE. A comma-separated list\n"
-             "                  builds a failover worker pool (rendezvous-\n"
-             "                  hashed owners, per-endpoint circuit\n"
-             "                  breakers; sim fallback only when the whole\n"
-             "                  pool is down)\n"
-             "  --remote-faults SPEC  seeded transport fault injection, e.g.\n"
-             "                  seed=7,drop=0.1,corrupt=0.05,dup=0.02,\n"
-             "                  disconnect=0.01,delay_ms=1; also\n"
-             "                  $XBARLIFE_REMOTE_FAULTS; ';'-separated\n"
-             "                  per-endpoint specs against a pool\n"
+             "                  per-cell path — outputs are bit-identical\n"
              "  --json PATH|-   write the machine-readable result document\n"
              "                  (JSONL, schema xbarlife.result.v1); '-' is\n"
              "                  stdout and silences the human report\n"
@@ -1167,7 +1070,8 @@ int cmd_info() {
              "                  xbarlife.progress.v1 heartbeats: phase,\n"
              "                  done/total, ETA, counter rollup, rewritten\n"
              "                  atomically at a bounded cadence\n\n"
-             "exit codes: 0 ok, 2 bad arguments, 3 I/O failure,\n"
+             "exit codes: 0 ok, 2 bad arguments (incl. an unknown option\n"
+             "or a malformed number), 3 I/O failure,\n"
              "4 failed convergence (--strict), 5 internal error,\n"
              "6 interrupted (snapshot written, resumable), 7 checkpoint\n"
              "corrupt with no valid fallback, 8 watchdog timeout\n";
@@ -1180,8 +1084,7 @@ int main(int argc, char** argv) {
   try {
     const Args args = parse(argc, argv);
     if (args.flag("threads")) {
-      set_parallel_threads(
-          static_cast<std::size_t>(std::stoul(args.get("threads", "1"))));
+      set_parallel_threads(args.size("threads", 1));
     }
     if (args.flag("kernel")) {
       kernels::set_kernel(args.get("kernel", "auto"));
@@ -1189,26 +1092,6 @@ int main(int argc, char** argv) {
       // Resolve $XBARLIFE_KERNEL up front so a bad value fails every
       // command with exit 2 instead of surfacing mid-computation.
       kernels::select();
-    }
-    if (args.flag("remote") || args.flag("remote-faults")) {
-      // Explicit remote-link configuration replaces the default lazily
-      // built remote backend (env still seeds the fields the flags omit).
-      xbar::RemoteConfig rcfg;
-      if (const char* env = std::getenv("XBARLIFE_REMOTE")) {
-        if (env[0] != '\0') {
-          rcfg.address = env;
-        }
-      }
-      if (const char* env = std::getenv("XBARLIFE_REMOTE_FAULTS")) {
-        rcfg.fault_spec = env;
-      }
-      if (args.flag("remote")) {
-        rcfg.address = args.get("remote", "loopback");
-      }
-      if (args.flag("remote-faults")) {
-        rcfg.fault_spec = args.get("remote-faults", "");
-      }
-      xbar::configure_remote_executor(rcfg);
     }
     if (args.flag("executor")) {
       xbar::set_executor(args.get("executor", "auto"));
@@ -1245,9 +1128,6 @@ int main(int argc, char** argv) {
     }
     if (args.command == "bench") {
       return cmd_bench(args, out);
-    }
-    if (args.command == "worker-status") {
-      return cmd_worker_status(args, out);
     }
     if (args.command == "models") {
       return cmd_models(out);

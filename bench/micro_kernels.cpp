@@ -11,12 +11,10 @@
 #include "mapping/mapper.hpp"
 #include "obs/metrics.hpp"
 #include "tensor/im2col.hpp"
-#include "xbar/remote.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "tensor/matmul.hpp"
 #include "xbar/crossbar.hpp"
 #include "xbar/executor.hpp"
-#include "xbar/pool.hpp"
 
 using namespace xbarlife;
 
@@ -171,37 +169,6 @@ void BM_ProgramWeightsPerCell(benchmark::State& state) {
   execute_sequence_with(state, exec);
 }
 BENCHMARK(BM_ProgramWeightsPerCell)->Arg(64)->Arg(128);
-
-/// The same pulse stream shipped through the remote backend over the
-/// in-process loopback worker (clean link): measures the full wire round
-/// trip — request encode (array params + state + sequence), framing +
-/// CRC both ways, the worker's array rebuild and execution, response
-/// decode, and the client-side state restore. The gap vs
-/// BM_ProgramWeightsBatched is the protocol's cost; the CLI twin
-/// (program_remote_loopback) feeds check_bench_regression.py's
-/// remote-overhead bound.
-void BM_ProgramWeightsRemoteLoopback(benchmark::State& state) {
-  const xbar::RemoteExecutor exec{xbar::RemoteConfig{}};
-  execute_sequence_with(state, exec);
-}
-BENCHMARK(BM_ProgramWeightsRemoteLoopback)->Arg(64)->Arg(128);
-
-/// The same stream through a worker pool of `range(1)` loopback workers:
-/// every request still lands on the array's single rendezvous owner, so
-/// pool(N) vs the single-link remote benchmark above isolates the pool's
-/// dispatch bookkeeping (hash, circuit check, accounting) from protocol
-/// cost. The CLI twin (program_pool3_loopback) feeds
-/// check_bench_regression.py's pool(3) <= remote(1) bound.
-void BM_ProgramWeightsPool(benchmark::State& state) {
-  xbar::RemoteConfig cfg;
-  cfg.address = "loopback";
-  for (std::int64_t i = 1; i < state.range(1); ++i) {
-    cfg.address += ",loopback";
-  }
-  const xbar::PoolExecutor exec{cfg};
-  execute_sequence_with(state, exec);
-}
-BENCHMARK(BM_ProgramWeightsPool)->Args({64, 1})->Args({64, 3})->Args({128, 3});
 
 void BM_StressIncrement(benchmark::State& state) {
   aging::AgingModel model({});

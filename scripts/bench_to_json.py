@@ -99,8 +99,8 @@ def from_bench_v1(path):
     if doc.get("schema") != BENCH_SCHEMA:
         fail(f"{path}: schema {doc.get('schema')!r} != {BENCH_SCHEMA!r}")
     # Results pass through verbatim: keys beyond the pinned median/p10/p90
-    # prefix (e.g. a bucketed histogram summary) survive the merge
-    # unchanged so downstream tooling can rely on them.
+    # prefix survive the merge unchanged so downstream tooling can rely on
+    # them.
     return doc["results"], doc.get("kernel"), doc.get("executor")
 
 

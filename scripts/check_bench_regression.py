@@ -28,19 +28,6 @@ than machine artifacts:
     per-cell median by more than --batched-slack (default 0.10).
     Batched programming exists to amortize per-pulse work; losing to
     the per-cell path means the ProgramSequence pipeline regressed.
-  * remote-loopback overhead: when program_remote_loopback and
-    program_batched are both present, the remote median must stay
-    within --remote-slack (default 12.0 = 12x) of the batched median.
-    The remote path ships the full crossbar state both ways per
-    sequence, so a generous multiple is expected (~8-10x measured) —
-    but an unbounded blowup means the wire codec or the loopback
-    worker regressed.
-  * pool-vs-single overhead: when program_pool3_loopback and
-    program_remote_loopback are both present, the 3-endpoint pool
-    median must stay within --pool-slack (default 0.25 = 25%) of the
-    single-endpoint remote median. Rendezvous hashing and circuit
-    bookkeeping are O(endpoints) per sequence — a pool that costs
-    materially more than one worker means dispatch overhead regressed.
 
 Exit status: 0 when no regression (or --warn-only), 1 on regression or
 a violated invariant, 2 on unusable inputs.
@@ -82,12 +69,6 @@ def main():
     parser.add_argument("--batched-slack", type=float, default=0.10,
                         help="allowed batched-over-percell median excess "
                              "(0.10 = 10%%)")
-    parser.add_argument("--remote-slack", type=float, default=12.0,
-                        help="allowed remote-loopback-over-batched median "
-                             "multiple (12.0 = 12x)")
-    parser.add_argument("--pool-slack", type=float, default=0.25,
-                        help="allowed pool(3)-over-remote(1) median excess "
-                             "(0.25 = 25%%)")
     args = parser.parse_args()
 
     baseline = load(args.baseline)
@@ -143,35 +124,6 @@ def main():
         if not ok:
             batched_violations.append("program_batched")
 
-    # Remote loopback pays for serialization + framing + the worker's
-    # array rebuild; bound the multiple so codec regressions show up.
-    remote_violations = []
-    if ("program_remote_loopback" in current
-            and "program_batched" in current):
-        r = current["program_remote_loopback"]["median"]
-        b = current["program_batched"]["median"]
-        ok = r <= b * args.remote_slack
-        print(f"  invariant program_remote_loopback <= program_batched * "
-              f"{args.remote_slack:.1f}: {r:.3f} ms vs {b:.3f} ms "
-              f"{'OK' if ok else '<-- VIOLATED'}")
-        if not ok:
-            remote_violations.append("program_remote_loopback")
-
-    # A 3-endpoint loopback pool must not cost materially more than a
-    # single loopback worker: dispatch picks one owner per sequence, so
-    # the extra work is hashing + circuit checks, not extra I/O.
-    pool_violations = []
-    if ("program_pool3_loopback" in current
-            and "program_remote_loopback" in current):
-        p = current["program_pool3_loopback"]["median"]
-        r = current["program_remote_loopback"]["median"]
-        ok = p <= r * (1.0 + args.pool_slack)
-        print(f"  invariant program_pool3_loopback <= "
-              f"program_remote_loopback * {1.0 + args.pool_slack:.2f}: "
-              f"{p:.3f} ms vs {r:.3f} ms {'OK' if ok else '<-- VIOLATED'}")
-        if not ok:
-            pool_violations.append("program_pool3_loopback")
-
     failed = False
     if regressions:
         level = "WARN" if args.warn_only else "FAIL"
@@ -186,14 +138,6 @@ def main():
     if batched_violations:
         print(f"check_bench_regression: FAIL: batched programming slower "
               f"than per-cell: {', '.join(batched_violations)}")
-        failed = True
-    if remote_violations:
-        print(f"check_bench_regression: FAIL: remote-loopback overhead "
-              f"out of bounds: {', '.join(remote_violations)}")
-        failed = True
-    if pool_violations:
-        print(f"check_bench_regression: FAIL: pool dispatch overhead out "
-              f"of bounds: {', '.join(pool_violations)}")
         failed = True
     if failed:
         return 1

@@ -12,16 +12,11 @@ way. The final document's type is auto-detected:
                          result, pinned thread count, git rev),
   * profile documents  — Chrome trace_event/Perfetto JSON as written by
                          --profile (otherData.schema "xbarlife.profile.v1"),
-  * worker stats       — schema "xbarlife.workerstats.v1" as emitted by
-                         `xbarlife worker-status --json` (uptime, request
-                         accounting, latency histograms),
   * progress snapshots — schema "xbarlife.progress.v1" as written by
                          --status-file (phase, done/total, ETA, counters).
 
-Histograms inside result/workerstats metrics are checked against the
-bucketed-histogram schema: plain summaries carry count/sum/min/max/mean;
-bucketed ones append p50/p95/p99 and a sparse "buckets" object whose
-counts must sum to "count" (64 fixed log2 buckets, keys "0".."63").
+Histograms inside result metrics are summaries with exactly the keys
+count/sum/min/max/mean.
 
 With --ckpt the argument is instead a binary checkpoint snapshot
 ("xbarlife.ckpt.v1": one JSON header line + raw payload); the header
@@ -54,24 +49,14 @@ CKPT_SCHEMA = "xbarlife.ckpt.v1"
 CKPT_KINDS = ("train", "lifetime", "sweep", "faults")
 RESULT_KEYS = ["schema", "command", "kernel", "executor", "data", "metrics"]
 METRIC_KEYS = ["counters", "gauges", "histograms"]
-KNOWN_EXECUTORS = ("sim", "percell", "remote")
-DEGRADATION_KEYS = ["fallback_executor", "fallbacks", "retries", "reconnects"]
-POOL_ENDPOINT_KEYS = ["address", "circuit", "requests", "failovers",
-                      "circuit_opens"]
-CIRCUIT_STATES = ("healthy", "suspect", "open")
+KNOWN_EXECUTORS = ("sim", "percell")
 BENCH_KEYS = ["schema", "tool", "kernel", "executor", "threads", "git_rev",
               "results"]
 BENCH_RESULT_KEYS = ["name", "unit", "reps", "median", "p10", "p90"]
-WORKERSTATS_SCHEMA = "xbarlife.workerstats.v1"
-WORKERSTATS_KEYS = ["schema", "build", "wire_version", "request_version",
-                    "uptime_ms", "requests_served", "replay_hits", "errors",
-                    "active_connections", "connections_total", "metrics"]
 PROGRESS_SCHEMA = "xbarlife.progress.v1"
 PROGRESS_KEYS = ["schema", "command", "phase", "done", "total",
                  "elapsed_ms", "finished", "counters"]
 HIST_KEYS = ["count", "sum", "min", "max", "mean"]
-HIST_BUCKETED_KEYS = HIST_KEYS + ["p50", "p95", "p99", "buckets"]
-HIST_BUCKET_COUNT = 64
 
 
 def fail(message):
@@ -125,75 +110,22 @@ def validate_faults_data(data):
 
 
 def validate_histograms(histograms, where):
-    """Checks every histogram summary in a metrics object against the
-    plain or bucketed schema."""
+    """Checks every histogram summary in a metrics object."""
     if not isinstance(histograms, dict):
         fail(f"{where}: 'histograms' must be an object")
     for name, hist in histograms.items():
         keys = list(hist.keys())
-        if keys not in (HIST_KEYS, HIST_BUCKETED_KEYS):
-            fail(f"{where}: histogram {name!r} keys {keys} match neither "
-                 f"{HIST_KEYS} nor {HIST_BUCKETED_KEYS}")
+        if keys != HIST_KEYS:
+            fail(f"{where}: histogram {name!r} keys {keys} != {HIST_KEYS}")
         if not isinstance(hist["count"], int) or hist["count"] < 1:
             fail(f"{where}: histogram {name!r} count must be >= 1 "
                  f"(empty histograms are never exported)")
-        if "buckets" not in hist:
-            continue
-        if not hist["min"] <= hist["p50"] <= hist["p95"] <= hist["p99"] \
-                <= hist["max"]:
-            fail(f"{where}: histogram {name!r} quantiles out of order")
-        buckets = hist["buckets"]
-        if not isinstance(buckets, dict) or not buckets:
-            fail(f"{where}: bucketed histogram {name!r} has no buckets")
-        total = 0
-        for key, value in buckets.items():
-            if not key.isdigit() or int(key) >= HIST_BUCKET_COUNT:
-                fail(f"{where}: histogram {name!r} bucket key {key!r} "
-                     f"outside 0..{HIST_BUCKET_COUNT - 1}")
-            if not isinstance(value, int) or value < 1:
-                fail(f"{where}: histogram {name!r} bucket {key!r} count "
-                     f"{value!r} must be a positive integer (zero "
-                     f"buckets are elided)")
-            total += value
-        if total != hist["count"]:
-            fail(f"{where}: histogram {name!r} bucket counts sum to "
-                 f"{total}, expected count {hist['count']}")
 
 
 def validate_metrics(metrics, where):
     if not isinstance(metrics, dict) or list(metrics.keys()) != METRIC_KEYS:
         fail(f"{where}: 'metrics' must have keys {METRIC_KEYS}")
     validate_histograms(metrics["histograms"], where)
-
-
-def validate_workerstats(doc):
-    """Checks an xbarlife.workerstats.v1 document (worker-status)."""
-    # Fleet fan-out (multi-endpoint worker-status) stamps the queried
-    # endpoint right after "schema"; single-endpoint docs omit it.
-    base = list(doc.keys())
-    if "endpoint" in base:
-        if base.index("endpoint") != base.index("schema") + 1:
-            fail("workerstats 'endpoint' must directly follow 'schema'")
-        if not isinstance(doc["endpoint"], str) or not doc["endpoint"]:
-            fail("workerstats 'endpoint' must be a non-empty string")
-        base.remove("endpoint")
-    if base != WORKERSTATS_KEYS:
-        fail(f"workerstats keys {list(doc.keys())} != {WORKERSTATS_KEYS} "
-             f"(+ optional 'endpoint')")
-    if not isinstance(doc["build"], str) or not doc["build"]:
-        fail("workerstats 'build' must be a non-empty string")
-    for key in ("wire_version", "request_version"):
-        if not isinstance(doc[key], int) or doc[key] < 1:
-            fail(f"workerstats {key!r} must be a positive integer")
-    for key in ("uptime_ms", "requests_served", "replay_hits", "errors",
-                "active_connections", "connections_total"):
-        if not isinstance(doc[key], int) or doc[key] < 0:
-            fail(f"workerstats {key!r} must be a non-negative integer")
-    if doc["active_connections"] > doc["connections_total"]:
-        fail("workerstats active_connections exceeds connections_total")
-    validate_metrics(doc["metrics"], "workerstats")
-    return (f"build={doc['build']!r}, "
-            f"{doc['requests_served']} requests served")
 
 
 def validate_progress(doc):
@@ -249,70 +181,13 @@ def validate_profile_rollup(profile):
                 fail(f"profile span {index} missing {key!r}")
 
 
-def validate_degradation(deg):
-    """Checks the optional 'executor_degradation' stamp (emitted only when
-    the remote executor fell back to local execution mid-run)."""
-    if not isinstance(deg, dict) or list(deg.keys()) != DEGRADATION_KEYS:
-        fail(f"'executor_degradation' keys must be {DEGRADATION_KEYS}")
-    if deg["fallback_executor"] != "sim":
-        fail(f"degradation fallback_executor {deg['fallback_executor']!r} "
-             f"!= 'sim'")
-    for key in ("fallbacks", "retries", "reconnects"):
-        if not isinstance(deg[key], int) or deg[key] < 0:
-            fail(f"degradation {key!r} must be a non-negative integer")
-    if deg["fallbacks"] < 1:
-        fail("a degradation stamp with zero fallbacks must not be emitted")
-
-
-def validate_executor_pool(pool):
-    """Checks the optional 'executor_pool' stamp (emitted only when the
-    active backend is a worker pool with more than one endpoint)."""
-    if not isinstance(pool, dict) or list(pool.keys()) != ["endpoints"]:
-        fail("'executor_pool' must be an object with the single key "
-             "'endpoints'")
-    endpoints = pool["endpoints"]
-    if not isinstance(endpoints, list) or len(endpoints) < 2:
-        fail("'executor_pool.endpoints' must list at least two endpoints "
-             "(single-endpoint runs must not stamp a pool)")
-    for index, entry in enumerate(endpoints):
-        if not isinstance(entry, dict) \
-                or list(entry.keys()) != POOL_ENDPOINT_KEYS:
-            fail(f"pool endpoint {index} keys must be {POOL_ENDPOINT_KEYS}")
-        if not isinstance(entry["address"], str) or not entry["address"]:
-            fail(f"pool endpoint {index} 'address' must be a non-empty "
-                 f"string")
-        if entry["circuit"] not in CIRCUIT_STATES:
-            fail(f"pool endpoint {index} circuit {entry['circuit']!r} "
-                 f"not in {CIRCUIT_STATES}")
-        for key in ("requests", "failovers", "circuit_opens"):
-            if not isinstance(entry[key], int) or entry[key] < 0:
-                fail(f"pool endpoint {index} {key!r} must be a "
-                     f"non-negative integer")
-
-
 def validate_result(result):
     keys = list(result.keys())
-    # Optional keys: "executor_pool" right after "executor" (only when a
-    # multi-endpoint worker pool is active), "executor_degradation" after
-    # "executor" / "executor_pool" (only when the remote backend fell
-    # back), "profile" trailing — clean runs stay byte-identical to
-    # pre-feature builds.
-    base = list(keys)
-    degradation = result.get("executor_degradation")
-    pool = result.get("executor_pool")
-    if "executor_pool" in base:
-        if base.index("executor_pool") != base.index("executor") + 1:
-            fail("'executor_pool' must directly follow 'executor'")
-        base.remove("executor_pool")
-    if "executor_degradation" in base:
-        if base.index("executor_degradation") != base.index("executor") + 1:
-            fail("'executor_degradation' must directly follow 'executor' "
-                 "(or 'executor_pool' when both are present)")
-        base.remove("executor_degradation")
-    if base not in (RESULT_KEYS, RESULT_KEYS + ["profile"]):
+    # "profile" is an optional trailing key: unprofiled runs stay
+    # byte-identical to pre-profiler builds.
+    if keys not in (RESULT_KEYS, RESULT_KEYS + ["profile"]):
         fail(f"result document keys {keys} != {RESULT_KEYS} (+ optional "
-             f"'executor_pool', 'executor_degradation' and trailing "
-             f"'profile')")
+             f"trailing 'profile')")
     if result["schema"] != RESULT_SCHEMA:
         fail(f"schema {result['schema']!r} != {RESULT_SCHEMA!r}")
     if not isinstance(result["command"], str) or not result["command"]:
@@ -322,15 +197,6 @@ def validate_result(result):
     if result["executor"] not in KNOWN_EXECUTORS:
         fail(f"result 'executor' {result['executor']!r} not in "
              f"{KNOWN_EXECUTORS}")
-    if pool is not None:
-        if result["executor"] != "remote":
-            fail("'executor_pool' is only valid for the remote executor")
-        validate_executor_pool(pool)
-    if degradation is not None:
-        if result["executor"] != "remote":
-            fail("'executor_degradation' is only valid for the remote "
-                 "executor")
-        validate_degradation(degradation)
     if not isinstance(result["data"], dict):
         fail("result 'data' must be an object")
     validate_metrics(result["metrics"], "result")
@@ -504,8 +370,6 @@ def main():
         detail = validate_profile(result)
     elif result.get("schema") == BENCH_SCHEMA:
         detail = validate_bench(result)
-    elif result.get("schema") == WORKERSTATS_SCHEMA:
-        detail = validate_workerstats(result)
     elif result.get("schema") == PROGRESS_SCHEMA:
         detail = validate_progress(result)
     else:

@@ -178,9 +178,6 @@ LifetimeResult LifetimeSimulator::run(tuning::HardwareNetwork& hw,
   if (obs.metrics_enabled()) {
     hw.attach_metrics(*obs.metrics);
   }
-  // Lets the remote executor open its per-sequence remote-execute span
-  // (and graft the worker's span tree under it) in profiled runs.
-  hw.attach_profiler(obs.profiler);
   tuning::OnlineTuner tuner(config_.tuning);
   hw_ = &hw;
   tuner_ = &tuner;

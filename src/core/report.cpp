@@ -19,40 +19,6 @@ obs::JsonValue result_document(std::string_view command,
   doc.set("command", command);
   doc.set("kernel", kernels::kernel_name());
   doc.set("executor", xbar::executor_name());
-  // "executor_pool" is an optional key directly after "executor": it
-  // appears only when the active backend is a worker pool with more than
-  // one endpoint, so single-endpoint and in-process documents stay
-  // byte-identical to earlier builds.
-  const xbar::ExecutorPoolSummary pool = xbar::executor_pool_summary();
-  if (pool.active) {
-    obs::JsonValue endpoints = obs::JsonValue::array();
-    for (const xbar::PoolEndpointSummary& ep : pool.endpoints) {
-      obs::JsonValue entry = obs::JsonValue::object();
-      entry.set("address", ep.address);
-      entry.set("circuit", ep.circuit);
-      entry.set("requests", ep.requests);
-      entry.set("failovers", ep.failovers);
-      entry.set("circuit_opens", ep.circuit_opens);
-      endpoints.push_back(std::move(entry));
-    }
-    obs::JsonValue pool_doc = obs::JsonValue::object();
-    pool_doc.set("endpoints", std::move(endpoints));
-    doc.set("executor_pool", std::move(pool_doc));
-  }
-  // "executor_degradation" is an optional key after "executor" (following
-  // "executor_pool" when both are present):
-  // it appears only when the remote backend fell back to local execution
-  // during the run, so documents from clean runs stay byte-identical to
-  // the sim goldens (modulo the executor stamp).
-  const xbar::ExecutorDegradation degradation = xbar::executor_degradation();
-  if (degradation.degraded) {
-    obs::JsonValue deg = obs::JsonValue::object();
-    deg.set("fallback_executor", "sim");
-    deg.set("fallbacks", degradation.fallbacks);
-    deg.set("retries", degradation.retries);
-    deg.set("reconnects", degradation.reconnects);
-    doc.set("executor_degradation", std::move(deg));
-  }
   doc.set("data", std::move(data));
   doc.set("metrics", metrics != nullptr ? metrics->to_json()
                                         : obs::Registry().to_json());

@@ -11,8 +11,7 @@
 // fallback) for every schedule instead of "usually works".
 //
 // Plans parse from compact specs, e.g.
-//   "seed=7,drop=0.1,corrupt=0.05,dup=0.02,disconnect=0.01,delay_ms=1"
-// which is also the format of --remote-faults / XBARLIFE_REMOTE_FAULTS.
+//   "seed=7,drop=0.1,corrupt=0.05,dup=0.02,disconnect=0.01,delay_ms=1".
 #pragma once
 
 #include <cstdint>

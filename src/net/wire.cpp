@@ -97,7 +97,7 @@ void write_frame(Transport& t, MsgType type, std::uint64_t seq_id,
   const std::string frame = encode_frame(type, seq_id, payload);
   t.send(frame);
   if (obs::Registry* metrics = current_wire_metrics()) {
-    metrics->bucketed_histogram("net.frame_bytes_out")
+    metrics->histogram("net.frame_bytes_out")
         .observe(static_cast<double>(frame.size()));
   }
 }
@@ -160,7 +160,7 @@ Frame read_frame(Transport& t, std::chrono::milliseconds timeout) {
                     std::string(to_string(frame.type)) + " frame)");
   }
   if (obs::Registry* metrics = current_wire_metrics()) {
-    metrics->bucketed_histogram("net.frame_bytes_in")
+    metrics->histogram("net.frame_bytes_in")
         .observe(static_cast<double>(kFrameHeaderSize + payload_len));
   }
   return frame;

@@ -1,5 +1,5 @@
-// xbarlife.wire.v1: the framed message protocol remote program execution
-// speaks over a Transport.
+// xbarlife.wire.v1: a framed message protocol for out-of-process program
+// execution, spoken over a Transport.
 //
 // Every message travels as one frame:
 //
@@ -73,7 +73,7 @@ enum class MsgType : std::uint8_t {
 const char* to_string(MsgType type);
 
 /// Installs the process-default registry wire telemetry reports into:
-/// bucketed "net.frame_bytes_in"/"net.frame_bytes_out" histograms and a
+/// "net.frame_bytes_in"/"net.frame_bytes_out" histograms and a
 /// "net.crc_failures" counter, all lazily created on first frame so runs
 /// that never touch the wire stay byte-identical. Pass nullptr to detach.
 void set_wire_metrics(obs::Registry* registry);

@@ -92,16 +92,6 @@ std::array<std::uint64_t, HistogramMetric::kBuckets> HistogramMetric::buckets()
   return buckets_;
 }
 
-bool HistogramMetric::bucketed() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return bucketed_;
-}
-
-void HistogramMetric::set_bucketed() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  bucketed_ = true;
-}
-
 void HistogramMetric::combine(const HistogramMetric& other) {
   // Copy under the source lock first so combine(self) cannot deadlock.
   std::uint64_t ocount;
@@ -109,7 +99,6 @@ void HistogramMetric::combine(const HistogramMetric& other) {
   double omin;
   double omax;
   std::array<std::uint64_t, kBuckets> obuckets;
-  bool obucketed;
   {
     const std::lock_guard<std::mutex> lock(other.mu_);
     ocount = other.count_;
@@ -117,7 +106,6 @@ void HistogramMetric::combine(const HistogramMetric& other) {
     omin = other.min_;
     omax = other.max_;
     obuckets = other.buckets_;
-    obucketed = other.bucketed_;
   }
   const std::lock_guard<std::mutex> lock(mu_);
   count_ += ocount;
@@ -127,7 +115,6 @@ void HistogramMetric::combine(const HistogramMetric& other) {
   for (std::size_t i = 0; i < kBuckets; ++i) {
     buckets_[i] += obuckets[i];
   }
-  bucketed_ = bucketed_ || obucketed;
 }
 
 namespace {
@@ -172,12 +159,6 @@ HistogramMetric& Registry::histogram(std::string_view name) {
            "metric name already used for a different kind: " +
                std::string(name));
   return find_or_create(histograms_, name);
-}
-
-HistogramMetric& Registry::bucketed_histogram(std::string_view name) {
-  HistogramMetric& h = histogram(name);
-  h.set_bucketed();
-  return h;
 }
 
 void Registry::merge_from(const Registry& other) {
@@ -228,19 +209,6 @@ JsonValue Registry::to_json(std::string_view exclude_suffix) const {
     summary.set("min", h->min());
     summary.set("max", h->max());
     summary.set("mean", h->mean());
-    if (h->bucketed()) {
-      summary.set("p50", h->quantile(0.50));
-      summary.set("p95", h->quantile(0.95));
-      summary.set("p99", h->quantile(0.99));
-      JsonValue buckets = JsonValue::object();
-      const auto counts = h->buckets();
-      for (std::size_t i = 0; i < counts.size(); ++i) {
-        if (counts[i] != 0) {
-          buckets.set(std::to_string(i), counts[i]);
-        }
-      }
-      summary.set("buckets", std::move(buckets));
-    }
     histograms.set(name, std::move(summary));
   }
   JsonValue out = JsonValue::object();

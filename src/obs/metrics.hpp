@@ -68,8 +68,7 @@ class Gauge {
 /// element-wise add and the merged state is invariant under merge order;
 /// quantile() reads only buckets/count/min/max (never the fp sum), so the
 /// estimates are byte-identical at any thread count and any fold order.
-/// The bucketed flag (Registry::bucketed_histogram) only widens the JSON
-/// export — plain histograms keep their summary-only shape.
+/// The JSON export stays summary-only; quantiles are read through the API.
 class HistogramMetric {
  public:
   static constexpr std::size_t kBuckets = 64;
@@ -89,10 +88,6 @@ class HistogramMetric {
   /// Snapshot of the bucket array.
   std::array<std::uint64_t, kBuckets> buckets() const;
 
-  /// Whether extended (quantile + bucket) JSON export is requested.
-  bool bucketed() const;
-  void set_bucketed();
-
   /// Maps a sample to its bucket index (exposed for tests).
   static std::size_t bucket_index(double sample);
 
@@ -110,7 +105,6 @@ class HistogramMetric {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
   std::array<std::uint64_t, kBuckets> buckets_{};
-  bool bucketed_ = false;
 };
 
 class Registry {
@@ -125,12 +119,6 @@ class Registry {
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
   HistogramMetric& histogram(std::string_view name);
-
-  /// Like histogram(), but marks the metric for extended JSON export:
-  /// p50/p95/p99 estimates plus the sparse bucket array are emitted after
-  /// the summary fields. The flag survives merge_from, so a bucketed
-  /// child histogram stays bucketed in the merged parent snapshot.
-  HistogramMetric& bucketed_histogram(std::string_view name);
 
   /// Folds `other` into this registry: counters add, histograms combine,
   /// and set gauges overwrite (callers merge in job-index order, so
@@ -150,8 +138,8 @@ class Registry {
   /// this is safe to call while jobs are still incrementing.
   JsonValue counters_json() const;
 
-  /// Calls fn(name, value) for every counter in name order. Used by the
-  /// wire layer to ship counter deltas without exposing the maps.
+  /// Calls fn(name, value) for every counter in name order, without
+  /// exposing the maps.
   void visit_counters(
       const std::function<void(const std::string&, std::uint64_t)>& fn) const;
 

@@ -72,36 +72,6 @@ void Profiler::adopt(const Profiler& child, std::string_view track_name) {
   }
 }
 
-void Profiler::graft(const std::vector<RemoteSpan>& spans,
-                     std::chrono::steady_clock::time_point anchor) {
-  const std::size_t offset = records_.size();
-  const std::size_t graft_parent = open_span();
-  const std::size_t depth_offset =
-      graft_parent == kNoSpan ? 0 : records_[graft_parent].depth + 1;
-  const std::size_t track =
-      graft_parent == kNoSpan ? 0 : records_[graft_parent].track;
-  records_.reserve(offset + spans.size());
-  for (const RemoteSpan& src : spans) {
-    XB_CHECK(src.parent == kNoSpan || src.parent + offset < records_.size(),
-             "grafted span parent must precede it in the batch");
-    SpanRecord rec;
-    rec.name = src.name;
-    rec.parent = src.parent == kNoSpan ? graft_parent : src.parent + offset;
-    rec.depth = (src.parent == kNoSpan
-                     ? depth_offset
-                     : records_[src.parent + offset].depth + 1);
-    rec.track = track;
-    rec.start = anchor + std::chrono::duration_cast<
-                             std::chrono::steady_clock::duration>(
-                             std::chrono::duration<double, std::milli>(
-                                 src.start_offset_ms));
-    rec.dur_ms = src.dur_ms;
-    rec.open = false;
-    rec.counters = src.counters;
-    records_.push_back(std::move(rec));
-  }
-}
-
 JsonValue Profiler::report_json(bool include_times) const {
   struct Aggregate {
     std::uint64_t count = 0;

@@ -83,29 +83,6 @@ class Profiler {
   /// at any thread count. The child must have no open spans.
   void adopt(const Profiler& child, std::string_view track_name);
 
-  /// A span recorded by another process, shipped back over the wire: times
-  /// are already measured, expressed as offsets from a batch anchor.
-  /// `parent` indexes into the grafted batch itself (kNoSpan = batch root).
-  struct RemoteSpan {
-    std::string name;
-    std::size_t parent = kNoSpan;
-    double start_offset_ms = 0.0;  ///< from the batch anchor
-    double dur_ms = 0.0;
-    std::vector<std::pair<std::string, std::uint64_t>> counters;
-  };
-
-  /// Grafts pre-timed remote spans under the innermost open span, on the
-  /// SAME display track as that span (unlike adopt(), which opens a new
-  /// track per job): a worker's rebuild/execute/serialize phases render
-  /// nested inside the client's remote-execute span. Batch roots become
-  /// children of the open span (or profiler roots when none is open);
-  /// starts are anchored at `anchor`, a client-side time (typically the
-  /// moment the request went out), so worker clocks never leak into the
-  /// trace. Names, nesting, order, and counters are deterministic; only
-  /// the anchored wall-clock fields are not.
-  void graft(const std::vector<RemoteSpan>& spans,
-             std::chrono::steady_clock::time_point anchor);
-
   const std::vector<SpanRecord>& records() const { return records_; }
   std::size_t span_count() const { return records_.size(); }
 

@@ -106,9 +106,8 @@ class StateReader {
   /// occupy at least `min_bytes_per_element` payload bytes, rejecting any
   /// count the remaining payload cannot possibly satisfy. Count-prefixed
   /// loops must size containers through this instead of a raw u64(): a
-  /// corrupt (or hostile — the same reader now parses network payloads)
-  /// prefix would otherwise drive a near-2^64 reserve()/resize() and
-  /// abort on allocation failure instead of failing cleanly.
+  /// corrupt prefix would otherwise drive a near-2^64 reserve()/resize()
+  /// and abort on allocation failure instead of failing cleanly.
   std::size_t array_count(std::size_t min_bytes_per_element) {
     const std::uint64_t n = u64();
     const std::size_t per =

@@ -1,12 +1,6 @@
 // Bounded escalation ladder: the rescue policy a failed tuning session
 // walks through before the array is declared end-of-life.
 //
-//   0. kFallbackExecutor — engaged only when the active program executor
-//                   reports itself degraded (the remote backend exhausted
-//                   its retries mid-session): execution is pinned to the
-//                   local fallback path and the session retunes once over
-//                   a link that can no longer fail. Runs at most once per
-//                   process (the pin is permanent).
 //   1. kRetry     — clamped cells get a fresh write-verify verdict and the
 //                   layer is reprogrammed (cheapest; a handful of pulses).
 //   2. kRemap     — the legacy rescue: redeploy under the scenario policy
@@ -36,7 +30,6 @@ namespace xbarlife::resilience {
 
 /// Rungs in order of invasiveness.
 enum class Rung {
-  kFallbackExecutor,
   kRetry,
   kRemap,
   kFaultMask,

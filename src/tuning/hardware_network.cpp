@@ -75,12 +75,6 @@ void HardwareNetwork::attach_metrics(obs::Registry& registry) {
   }
 }
 
-void HardwareNetwork::attach_profiler(obs::Profiler* profiler) {
-  for (DeployedLayer& layer : layers_) {
-    layer.xbar->attach_profiler(profiler);
-  }
-}
-
 void HardwareNetwork::capture_targets() {
   targets_ = net_->save_mappable_weights();
 }

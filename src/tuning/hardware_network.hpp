@@ -170,11 +170,6 @@ class HardwareNetwork {
   /// object.
   void attach_metrics(obs::Registry& registry);
 
-  /// Attaches a span profiler to every crossbar (null to detach): the
-  /// remote executor nests worker-side span trees under per-sequence
-  /// "executor.remote.execute" spans. Must outlive this object.
-  void attach_profiler(obs::Profiler* profiler);
-
   /// Ground-truth aging statistics per deployed layer.
   std::vector<xbar::CrossbarAgingStats> aging_stats() const;
 

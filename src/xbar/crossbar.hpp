@@ -21,10 +21,6 @@
 #include "xbar/nonideal.hpp"
 #include "xbar/program_sequence.hpp"
 
-namespace xbarlife::obs {
-class Profiler;
-}  // namespace xbarlife::obs
-
 namespace xbarlife::xbar {
 
 /// Aggregate ground-truth aging statistics of an array.
@@ -52,12 +48,6 @@ class Crossbar {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
 
-  /// Process-unique array id, assigned in construction order. The
-  /// executor pool's rendezvous hash keys on it to pick each array's
-  /// owning endpoint; it never influences simulation results (byte
-  /// identity holds on every endpoint), so the thread-ordering race on
-  /// assignment is benign.
-  std::uint64_t uid() const { return uid_; }
   const device::DeviceParams& device_params() const { return params_; }
   const aging::AgingModel& aging_model() const { return model_; }
 
@@ -75,15 +65,6 @@ class Crossbar {
 
   /// True once a nonzero NonidealityConfig has been installed.
   bool nonideal() const { return nonideal_.has_value(); }
-  /// The installed config, or null for an ideal array. Together with
-  /// nonideality_seed() this is everything a remote worker needs to
-  /// rebuild an identically-configured array (the FaultMap and RNG
-  /// streams are deterministic functions of config + seed).
-  const NonidealityConfig* nonideality_config() const {
-    return nonideal_.has_value() ? &*nonideal_ : nullptr;
-  }
-  /// Seed configure_nonideality() was called with; 0 for an ideal array.
-  std::uint64_t nonideality_seed() const { return nonideality_seed_; }
   /// Manufacture-time fault map; null when no stuck faults were drawn.
   const FaultMap* fault_map() const { return faults_.get(); }
 
@@ -113,15 +94,6 @@ class Crossbar {
   /// executed sequence. Both backends call it with the same structural
   /// stats, so the counters never depend on the backend choice.
   void note_sequence_executed(const SequenceStats& stats);
-
-  /// Bumps the attached pulse counters without touching any array state.
-  /// The remote executor calls this after restoring a worker-produced
-  /// snapshot: the snapshot already contains the pulses' effects (and
-  /// total_pulses), but obs counters live client-side and would otherwise
-  /// miss the increments the worker's execution produced.
-  void credit_pulse_counters(std::uint64_t pulses, std::uint64_t traced) {
-    tracker_.tally_pulses(pulses, traced);
-  }
 
   /// Recoverable drift on cell (r, c): resistance moves without a pulse.
   /// Stuck cells do not drift — the defect pins them.
@@ -169,13 +141,6 @@ class Crossbar {
     batch_counter_ = column_batches;
   }
 
-  /// Attaches a span profiler (null to detach). The remote executor opens
-  /// an "executor.remote.execute" span per shipped sequence and grafts the
-  /// worker's span tree under it; in-process backends ignore it. Must
-  /// outlive the crossbar.
-  void attach_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
-  obs::Profiler* profiler() const { return profiler_; }
-
   std::uint64_t total_pulses() const { return total_pulses_; }
 
   /// Array-wide thermal-crosstalk stress pool shared by every cell.
@@ -218,7 +183,6 @@ class Crossbar {
   aging::AgingModel model_;
   std::vector<device::Memristor> cells_;
   aging::RepresentativeTracker tracker_;
-  std::uint64_t uid_ = 0;
   /// Hoisted per-pulse constants for program_batch; fixed at construction
   /// (depends only on params_/model_).
   device::PulseContext pulse_ctx_;
@@ -226,10 +190,8 @@ class Crossbar {
   double ambient_stress_ = 0.0;
   obs::Counter* seq_counter_ = nullptr;
   obs::Counter* batch_counter_ = nullptr;
-  obs::Profiler* profiler_ = nullptr;
   /// Engaged only by configure_nonideality with a nonzero config.
   std::optional<NonidealityConfig> nonideal_;
-  std::uint64_t nonideality_seed_ = 0;
   std::unique_ptr<FaultMap> faults_;
   Rng write_rng_{0};
   mutable Rng read_rng_{0};

@@ -2,13 +2,9 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <memory>
-#include <mutex>
 
 #include "common/error.hpp"
 #include "xbar/crossbar.hpp"
-#include "xbar/pool.hpp"
-#include "xbar/remote.hpp"
 
 namespace xbarlife::xbar {
 
@@ -71,52 +67,12 @@ namespace {
 const SimExecutor g_sim;
 const PerCellExecutor g_percell;
 
-/// The remote backend carries configuration, so unlike sim/percell it is
-/// built on demand: from configure_remote_executor() when the CLI passed
-/// flags, else from the environment the first time "remote" resolves. A
-/// comma in the address promotes the backend to a PoolExecutor (the fleet
-/// form — same "remote" name, same envelope stamp for single endpoints).
-std::mutex g_remote_mu;
-std::unique_ptr<ProgramExecutor> g_remote;
-/// Concrete view of g_remote: exactly one is non-null once built.
-PoolExecutor* g_remote_pool = nullptr;
-
-std::unique_ptr<ProgramExecutor> build_remote(const RemoteConfig& cfg) {
-  if (cfg.address.find(',') != std::string::npos) {
-    auto pool = std::make_unique<PoolExecutor>(cfg);
-    g_remote_pool = pool.get();
-    return pool;
-  }
-  g_remote_pool = nullptr;
-  return std::make_unique<RemoteExecutor>(cfg);
-}
-
-ProgramExecutor& remote_instance() {
-  std::lock_guard<std::mutex> lock(g_remote_mu);
-  if (g_remote == nullptr) {
-    RemoteConfig cfg;
-    if (const char* addr = std::getenv("XBARLIFE_REMOTE")) {
-      if (addr[0] != '\0') {
-        cfg.address = addr;
-      }
-    }
-    if (const char* faults = std::getenv("XBARLIFE_REMOTE_FAULTS")) {
-      cfg.fault_spec = faults;
-    }
-    g_remote = build_remote(cfg);
-  }
-  return *g_remote;
-}
-
 const ProgramExecutor* resolve(const std::string& name) {
   if (name.empty() || name == "auto" || name == "sim") {
     return &g_sim;
   }
   if (name == "percell") {
     return &g_percell;
-  }
-  if (name == "remote") {
-    return &remote_instance();
   }
   return nullptr;
 }
@@ -173,66 +129,7 @@ void set_executor(const std::string& name) {
 std::string executor_name() { return select_executor().name(); }
 
 std::vector<std::string> available_executors() {
-  return {"sim", "percell", "remote"};
-}
-
-void configure_remote_executor(const RemoteConfig& config) {
-  std::lock_guard<std::mutex> lock(g_remote_mu);
-  // Keep g_active coherent when the remote backend is being replaced
-  // while selected (CLI flag handling configures before set_executor, but
-  // tests may re-configure mid-run).
-  const ProgramExecutor* old = g_remote.get();
-  g_remote = build_remote(config);
-  const ProgramExecutor* expected = old;
-  g_active.compare_exchange_strong(expected, g_remote.get(),
-                                   std::memory_order_acq_rel);
-}
-
-bool executor_degraded() { return select_executor().degraded(); }
-
-bool pin_executor_fallback() { return select_executor().pin_local_fallback(); }
-
-ExecutorDegradation executor_degradation() {
-  ExecutorDegradation out;
-  const ProgramExecutor* remote = nullptr;
-  const PoolExecutor* pool = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(g_remote_mu);
-    remote = g_remote.get();
-    pool = g_remote_pool;
-  }
-  if (remote == nullptr || !remote->degraded()) {
-    return out;
-  }
-  const RemoteLinkStats stats =
-      pool != nullptr ? pool->link_stats()
-                      : static_cast<const RemoteExecutor*>(remote)->link_stats();
-  out.degraded = true;
-  out.fallbacks = stats.fallbacks;
-  out.retries = stats.retries;
-  out.reconnects = stats.reconnects;
-  return out;
-}
-
-ExecutorPoolSummary executor_pool_summary() {
-  ExecutorPoolSummary out;
-  const PoolExecutor* pool = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(g_remote_mu);
-    pool = g_remote_pool;
-    // Stamp only when the pool is the *active* backend: a configured but
-    // unselected pool must not perturb sim/percell documents.
-    if (pool == nullptr ||
-        g_active.load(std::memory_order_acquire) != g_remote.get()) {
-      return out;
-    }
-  }
-  if (pool->size() <= 1) {
-    return out;
-  }
-  out.active = true;
-  out.endpoints = pool->endpoint_summaries();
-  return out;
+  return {"sim", "percell"};
 }
 
 }  // namespace xbarlife::xbar

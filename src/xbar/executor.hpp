@@ -12,15 +12,11 @@
 //            obs-counter updates across the batch. Bit-identical to
 //            percell by construction.
 //   percell  legacy reference: every pulse goes through the original
-//            one-call-per-cell Crossbar::program_cell path.
-//   remote   ships each sequence (plus full crossbar state) over a socket
-//            to a worker process — or the in-process loopback worker —
-//            with retry/backoff and graceful fallback to `sim` (see
-//            xbar/remote.hpp). Configured via --remote/--remote-faults or
-//            XBARLIFE_REMOTE/XBARLIFE_REMOTE_FAULTS.
+//            one-call-per-cell Crossbar::program_cell path; kept as the
+//            differential oracle for sim (and for any future hardware
+//            backend, which registers here the same way).
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -43,16 +39,6 @@ class ProgramExecutor {
   virtual ~ProgramExecutor() = default;
   virtual const char* name() const = 0;
   virtual ExecReport execute(Crossbar& xb, const ProgramSequence& seq) const = 0;
-
-  /// True when the backend is running degraded (the remote backend: at
-  /// least one sequence fell back to local execution). In-process
-  /// backends never degrade.
-  virtual bool degraded() const { return false; }
-
-  /// Permanently routes execution to the backend's local fallback path
-  /// (the resilience ladder's fallback-executor rung). Returns true on
-  /// the transition, false when unsupported or already pinned.
-  virtual bool pin_local_fallback() const { return false; }
 };
 
 /// Column-batched in-process simulator (default backend).
@@ -73,7 +59,7 @@ class PerCellExecutor final : public ProgramExecutor {
 /// on first use (throws InvalidArgument for an unknown value).
 const ProgramExecutor& select_executor();
 
-/// Activates a backend by name ("sim", "percell", "remote"; "" / "auto"
+/// Activates a backend by name ("sim", "percell"; "" / "auto"
 /// -> default). Throws InvalidArgument listing the usable names otherwise.
 void set_executor(const std::string& name);
 
@@ -82,55 +68,5 @@ std::string executor_name();
 
 /// Usable backend names, selection-priority order.
 std::vector<std::string> available_executors();
-
-struct RemoteConfig;
-
-/// Installs (or replaces) the remote backend's configuration. Call before
-/// set_executor("remote"); without it, resolving "remote" builds the
-/// backend from XBARLIFE_REMOTE / XBARLIFE_REMOTE_FAULTS (defaulting to
-/// the in-process loopback worker).
-void configure_remote_executor(const RemoteConfig& config);
-
-/// True when the active backend reports itself degraded (remote fallback
-/// engaged). The resilience ladder's fallback-executor rung keys off it.
-bool executor_degraded();
-
-/// Pins the active backend to its local fallback path; true only on the
-/// transition (so the ladder rung runs at most once).
-bool pin_executor_fallback();
-
-/// Degradation summary stamped into result documents.
-struct ExecutorDegradation {
-  bool degraded = false;
-  std::uint64_t fallbacks = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t reconnects = 0;
-};
-
-/// Snapshot of the remote backend's degradation state; `degraded` is
-/// false when the remote backend was never instantiated or never fell
-/// back.
-ExecutorDegradation executor_degradation();
-
-/// One endpoint's worth of pool accounting, stamped into the optional
-/// "executor_pool" result-envelope key and rendered by `xbarlife
-/// worker-status` fleet mode.
-struct PoolEndpointSummary {
-  std::string address;
-  std::string circuit;  ///< "healthy" / "suspect" / "open"
-  std::uint64_t requests = 0;       ///< sequences this endpoint completed
-  std::uint64_t failovers = 0;      ///< attempts that failed over away
-  std::uint64_t circuit_opens = 0;  ///< times its circuit opened
-};
-
-/// Pool summary for result documents. `active` only when the active
-/// backend is a worker pool with more than one endpoint, so documents
-/// from single-endpoint runs stay byte-identical to earlier builds.
-struct ExecutorPoolSummary {
-  bool active = false;
-  std::vector<PoolEndpointSummary> endpoints;
-};
-
-ExecutorPoolSummary executor_pool_summary();
 
 }  // namespace xbarlife::xbar

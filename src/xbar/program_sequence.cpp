@@ -32,38 +32,6 @@ SequenceStats ProgramSequence::stats() const {
   return s;
 }
 
-void ProgramSequence::save_state(persist::StateWriter& w) const {
-  w.u64(ops_.size());
-  for (const ProgramOp& op : ops_) {
-    w.u8(static_cast<std::uint8_t>(op.kind));
-    w.u32(op.row);
-    w.u32(op.col);
-    w.f64(op.value);
-  }
-}
-
-ProgramSequence ProgramSequence::load_state(persist::StateReader& r) {
-  ProgramSequence seq;
-  // Each op occupies exactly 17 payload bytes (kind u8 + row/col u32 +
-  // value f64); array_count rejects corrupt prefixes before the reserve.
-  const std::size_t n = r.array_count(17);
-  seq.ops_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ProgramOp op;
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(OpKind::kBarrier)) {
-      throw InvalidArgument("ProgramSequence: bad op kind " +
-                            std::to_string(kind));
-    }
-    op.kind = static_cast<OpKind>(kind);
-    op.row = r.u32();
-    op.col = r.u32();
-    op.value = r.f64();
-    seq.ops_.push_back(op);
-  }
-  return seq;
-}
-
 SequenceBuilder::SequenceBuilder(std::size_t rows, std::size_t cols)
     : rows_(rows), cols_(cols), lanes_(cols) {}
 

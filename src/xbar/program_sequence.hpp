@@ -7,9 +7,8 @@
 // verify reads, waits, barriers — and hand it to a ProgramExecutor
 // (executor.hpp) for execution against the device. The split is the
 // SoftMC idiom: building the command stream is cheap and backend-free,
-// executing it is where the device model (or, later, real hardware /
-// a remote simulator) lives. Sequences serialize through the persist
-// wire format, so a daemon can ship them between processes verbatim.
+// executing it is where the device model (or, later, real hardware)
+// lives.
 //
 // Op order is semantically significant: programming pulses age cells,
 // heat the shared ambient pool, and consume the ordered write-noise
@@ -23,11 +22,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "persist/state_io.hpp"
-
 namespace xbarlife::xbar {
 
-/// Instruction kinds. The numeric values are the wire encoding.
+/// Instruction kinds.
 enum class OpKind : std::uint8_t {
   kProgramPulse = 0,  ///< program cell (row, col) toward `value` ohms
   kVerifyRead = 1,    ///< read cell (row, col) through the periphery
@@ -85,13 +82,6 @@ class ProgramSequence {
   bool empty() const { return ops_.empty(); }
 
   SequenceStats stats() const;
-
-  /// Wire format: op count, then (kind, row, col, value-bits) per op.
-  /// Floats travel bit-cast, so a round trip is byte-identical.
-  void save_state(persist::StateWriter& w) const;
-  static ProgramSequence load_state(persist::StateReader& r);
-
-  bool operator==(const ProgramSequence&) const = default;
 
  private:
   std::vector<ProgramOp> ops_;

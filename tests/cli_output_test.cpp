@@ -1,8 +1,9 @@
 // End-to-end CLI output-path tests: every subcommand that accepts the
 // --json/--trace/--profile sink flags must fail fast with the IoError
 // exit code (3) when the target path is unwritable — before any real
-// work runs — and the --profile happy path must produce a Perfetto
-// trace_event document.
+// work runs — the --profile happy path must produce a Perfetto
+// trace_event document, and bad arguments (unknown options, malformed
+// numbers, unknown executors) must exit with the usage code (2).
 //
 // The binary path comes in via XBARLIFE_CLI_PATH (set in
 // tests/CMakeLists.txt from $<TARGET_FILE:xbarlife_cli>).
@@ -26,18 +27,36 @@ constexpr const char* kUnwritable =
 
 std::string cli_path() { return XBARLIFE_CLI_PATH; }
 
-/// Runs the CLI with `args`, discarding stdout/stderr, and returns its
-/// exit code (-1 when the shell itself failed).
-int run_cli(const std::string& args) {
+struct CliRun {
+  int code = -1;  ///< -1 when the shell itself failed
+  std::string stderr_text;
+};
+
+/// Runs the CLI with `args`, discarding stdout and capturing stderr.
+/// `env` prefixes the command with environment assignments.
+CliRun run_cli_capture(const std::string& args, const std::string& env = "") {
   const std::string cmd =
-      cli_path() + " " + args + " >/dev/null 2>&1";
-  const int status = std::system(cmd.c_str());
-#ifdef _WIN32
-  return status;
+      env + " " + cli_path() + " " + args + " 2>&1 >/dev/null";
+  CliRun run;
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) {
+    return run;
+  }
+  char buf[256];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) {
+    run.stderr_text += buf;
+  }
+  const int status = pclose(pipe);
+#ifndef _WIN32
+  run.code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 #else
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  run.code = status;
 #endif
+  return run;
 }
+
+/// Runs the CLI with `args`, discarding its output; returns the exit code.
+int run_cli(const std::string& args) { return run_cli_capture(args).code; }
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
@@ -89,8 +108,8 @@ INSTANTIATE_TEST_SUITE_P(
         SinkCase{"bench", "--profile"},
         SinkCase{"models", "--json"}, SinkCase{"models", "--trace"},
         SinkCase{"models", "--profile"}),
-    [](const ::testing::TestParamInfo<SinkCase>& info) {
-      return PrintToString(info.param);
+    [](const ::testing::TestParamInfo<SinkCase>& param_info) {
+      return PrintToString(param_info.param);
     });
 
 TEST(CliOutput, UnknownCommandExitsUsage) {
@@ -166,17 +185,63 @@ TEST(CliOutput, DeviceJsonWithoutProfileHasNoProfileKey) {
 }
 
 // Unknown executor backends exit with the usage code, whether they come
-// from the flag or the environment, and the message lists the usable
-// names (not asserted here — run_cli discards output).
+// from the flag or the environment, and the message lists exactly the
+// usable names. "remote" is an unknown name like any other.
 TEST(CliOutput, UnknownExecutorExitsUsage) {
-  EXPECT_EQ(run_cli("device --pulses 5 --executor warpdrive"), 2);
-  const std::string cmd = "XBARLIFE_EXECUTOR=warpdrive " + cli_path() +
-                          " device --pulses 5 >/dev/null 2>&1";
-  const int status = std::system(cmd.c_str());
-#ifndef _WIN32
-  EXPECT_EQ(WIFEXITED(status) ? WEXITSTATUS(status) : -1, 2);
-#endif
+  for (const std::string name : {"warpdrive", "remote"}) {
+    SCOPED_TRACE(name);
+    const CliRun by_flag =
+        run_cli_capture("device --pulses 5 --executor " + name);
+    EXPECT_EQ(by_flag.code, 2);
+    EXPECT_NE(by_flag.stderr_text.find("(available: sim, percell)"),
+              std::string::npos)
+        << by_flag.stderr_text;
+    const CliRun by_env =
+        run_cli_capture("device --pulses 5", "XBARLIFE_EXECUTOR=" + name);
+    EXPECT_EQ(by_env.code, 2);
+    EXPECT_NE(by_env.stderr_text.find("(available: sim, percell)"),
+              std::string::npos)
+        << by_env.stderr_text;
+  }
 }
+
+struct BadArgCase {
+  const char* label;
+  const char* args;    ///< full argument list after the binary
+  const char* option;  ///< option the error message must name
+};
+
+class BadArgument : public ::testing::TestWithParam<BadArgCase> {};
+
+// Unknown options and malformed numbers are usage errors: exit 2 before
+// any work runs, with a message naming the offending option.
+TEST_P(BadArgument, ExitsUsageNamingTheOption) {
+  const BadArgCase& c = GetParam();
+  const CliRun run = run_cli_capture(c.args);
+  EXPECT_EQ(run.code, 2) << c.args;
+  EXPECT_NE(run.stderr_text.find(c.option), std::string::npos)
+      << run.stderr_text;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CliOutput, BadArgument,
+    ::testing::Values(
+        BadArgCase{"misspelled_option", "device --pulses 5 --sesions 2",
+                   "--sesions"},
+        BadArgCase{"removed_remote_option",
+                   "device --pulses 5 --remote loopback", "--remote"},
+        BadArgCase{"non_numeric", "lifetime --model mlp --sessions abc",
+                   "--sessions"},
+        // --job-timeout bounds the run should the value ever be accepted
+        // (it would wrap to 2^64-1 sessions).
+        BadArgCase{"negative_unsigned",
+                   "lifetime --model mlp --sessions -1 --job-timeout 1",
+                   "--sessions"},
+        BadArgCase{"trailing_characters", "device --pulses 5 --threads 2x",
+                   "--threads"}),
+    [](const ::testing::TestParamInfo<BadArgCase>& param_info) {
+      return std::string(param_info.param.label);
+    });
 
 // The executor backend is a pure implementation choice: the same run
 // under --executor sim and --executor percell must produce identical

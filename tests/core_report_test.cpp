@@ -77,21 +77,13 @@ TEST(ResultDocumentTest, EnvelopeKeysAndSchema) {
       result_document("lifetime", obs::JsonValue::object(), nullptr);
   ASSERT_TRUE(doc.is_object());
   const auto* obj = doc.as_object();
-  // Under a multi-endpoint XBARLIFE_REMOTE pool the envelope carries the
-  // executor_pool stamp directly after "executor" (the suite runs under
-  // every backend, pools included); otherwise exactly the six base keys.
-  const bool pooled = xbar::executor_pool_summary().active;
-  const std::size_t shift = pooled ? 1 : 0;
-  ASSERT_EQ(obj->size(), 6u + shift);
+  ASSERT_EQ(obj->size(), 6u);
   EXPECT_EQ((*obj)[0].first, "schema");
   EXPECT_EQ((*obj)[1].first, "command");
   EXPECT_EQ((*obj)[2].first, "kernel");
   EXPECT_EQ((*obj)[3].first, "executor");
-  if (pooled) {
-    EXPECT_EQ((*obj)[4].first, "executor_pool");
-  }
-  EXPECT_EQ((*obj)[4 + shift].first, "data");
-  EXPECT_EQ((*obj)[5 + shift].first, "metrics");
+  EXPECT_EQ((*obj)[4].first, "data");
+  EXPECT_EQ((*obj)[5].first, "metrics");
   EXPECT_EQ(doc.find("schema")->dump(), "\"xbarlife.result.v1\"");
   EXPECT_EQ(doc.find("command")->dump(), "\"lifetime\"");
   const obs::JsonValue* metrics = doc.find("metrics");
@@ -194,8 +186,7 @@ TEST(ResultDocumentTest, ProfilerAppendsTrailingProfileKey) {
                       &sample_profiler());
   ASSERT_TRUE(doc.is_object());
   const auto* obj = doc.as_object();
-  const std::size_t shift = xbar::executor_pool_summary().active ? 1 : 0;
-  ASSERT_EQ(obj->size(), 7u + shift);
+  ASSERT_EQ(obj->size(), 7u);
   EXPECT_EQ(obj->back().first, "profile");
   const obs::JsonValue* profile = doc.find("profile");
   ASSERT_NE(profile, nullptr);

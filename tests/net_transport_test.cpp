@@ -107,7 +107,7 @@ TEST(Wire, RejectsUnknownVersionAndType) {
   {
     auto [a, b] = make_pipe();
     std::string frame = encode_frame(MsgType::kHello, 1, "");
-    frame[5] = 200;  // type byte outside [kHello, kShutdown]
+    frame[5] = static_cast<char>(200);  // type byte outside the MsgType range
     a->send(frame);
     EXPECT_THROW(read_frame(*b, 1000ms), WireError);
   }

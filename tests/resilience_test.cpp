@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <vector>
 
 #include "common/error.hpp"
@@ -15,7 +14,6 @@
 #include "core/report.hpp"
 #include "resilience/escalation.hpp"
 #include "xbar/executor.hpp"
-#include "xbar/remote.hpp"
 
 namespace xbarlife::resilience {
 namespace {
@@ -136,12 +134,11 @@ TEST(RowPermutation, RejectsNonInjectiveAndOutOfRange) {
 }
 
 TEST(EscalationRungs, NamesAreStable) {
-  EXPECT_EQ(to_string(Rung::kFallbackExecutor), "fallback_executor");
-  EXPECT_EQ(to_string(Rung::kRetry), "retry");
-  EXPECT_EQ(to_string(Rung::kRemap), "remap");
-  EXPECT_EQ(to_string(Rung::kFaultMask), "fault_mask");
-  EXPECT_EQ(to_string(Rung::kSpareRows), "spare_rows");
-  EXPECT_EQ(to_string(Rung::kDegraded), "degraded");
+  EXPECT_STREQ(to_string(Rung::kRetry), "retry");
+  EXPECT_STREQ(to_string(Rung::kRemap), "remap");
+  EXPECT_STREQ(to_string(Rung::kFaultMask), "fault_mask");
+  EXPECT_STREQ(to_string(Rung::kSpareRows), "spare_rows");
+  EXPECT_STREQ(to_string(Rung::kDegraded), "degraded");
 }
 
 // The acceptance gate for wiring the fault model in at all: with every
@@ -243,78 +240,6 @@ TEST(EscalationLadder, DegradedModeKeepsServingAboveFloor) {
   // converges or degrades: the run must reach the session cap alive.
   EXPECT_FALSE(o.lifetime.died);
   EXPECT_EQ(o.lifetime.sessions.size(), cfg.lifetime.max_sessions);
-}
-
-// The ladder's rung 0: when the remote executor has degraded (here:
-// every sequence falls back because the worker address never answers),
-// the first rescue pins execution to the local path, retunes, and the
-// pin is recorded exactly once — later rescues in the same run skip the
-// rung because pin_executor_fallback() only returns true on the
-// transition.
-TEST(EscalationLadder, FallbackExecutorRungEngagesOncePerProcess) {
-  // A dead endpoint with fast-failing retries: every remote attempt
-  // falls back to local sim execution, marking the backend degraded.
-  xbar::RemoteConfig rcfg;
-  rcfg.address = "127.0.0.1:1";
-  rcfg.dial_timeout = std::chrono::milliseconds(100);
-  rcfg.request_deadline = std::chrono::milliseconds(200);
-  rcfg.max_attempts = 2;
-  rcfg.backoff_initial = std::chrono::milliseconds(1);
-  rcfg.backoff_max = std::chrono::milliseconds(2);
-  xbar::configure_remote_executor(rcfg);
-  xbar::set_executor("remote");
-
-  core::ExperimentConfig cfg = tiny_config();
-  cfg.target_accuracy_fraction = 0.9;
-  cfg.faults.nonideal.stuck_off_fraction = 0.18;
-  cfg.faults.nonideal.stuck_on_fraction = 0.05;
-  cfg.faults.nonideal.write_noise_sigma = 0.05;
-  cfg.faults.spare_rows = 4;
-  cfg.faults.fault_seed = 22;
-  cfg.lifetime.resilience.ladder_enabled = true;
-
-  const core::ScenarioOutcome o =
-      core::run_scenario(cfg, core::Scenario::kSTAT);
-  xbar::set_executor("sim");
-
-  std::size_t fallback_rungs = 0;
-  bool saw_rescue = false;
-  for (const core::SessionRecord& rec : o.lifetime.sessions) {
-    if (rec.rescue_rungs.empty()) {
-      continue;
-    }
-    saw_rescue = true;
-    for (std::size_t i = 0; i < rec.rescue_rungs.size(); ++i) {
-      if (rec.rescue_rungs[i] == "fallback_executor") {
-        ++fallback_rungs;
-        // When the rung engages it is always the first attempted: the
-        // cheapest rescue runs before any array mutation.
-        EXPECT_EQ(i, 0u);
-      }
-    }
-  }
-  ASSERT_TRUE(saw_rescue) << "fault model never triggered a rescue";
-  EXPECT_EQ(fallback_rungs, 1u)
-      << "the pin transition must be recorded exactly once";
-
-  // The degradation snapshot the result document stamps: fallbacks
-  // accumulated before the pin, and the degraded flag held.
-  const xbar::ExecutorDegradation deg = xbar::executor_degradation();
-  EXPECT_TRUE(deg.degraded);
-  EXPECT_GT(deg.fallbacks, 0u);
-
-  // After the pin, every session still completed through the local path:
-  // the run reached a normal end (EOL or session cap), not a crash.
-  EXPECT_GT(o.lifetime.sessions.size(), 0u);
-}
-
-// With sim (or any in-process backend) active, executor_degraded() stays
-// false and the rung never fires — pin_executor_fallback() on sim is a
-// no-op returning false.
-TEST(EscalationLadder, FallbackExecutorRungInertOnLocalBackends) {
-  xbar::set_executor("sim");
-  EXPECT_FALSE(xbar::executor_degraded());
-  EXPECT_FALSE(xbar::pin_executor_fallback());
 }
 
 }  // namespace

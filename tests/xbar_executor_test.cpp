@@ -6,12 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "persist/state_io.hpp"
 #include "xbar/crossbar.hpp"
-#include "xbar/remote.hpp"
 
 namespace xbarlife::xbar {
 namespace {
@@ -49,10 +49,7 @@ ProgramSequence mixed_sequence(std::size_t rows, std::size_t cols) {
 
 TEST(ExecutorRegistry, ListsAllBackends) {
   const auto names = available_executors();
-  ASSERT_EQ(names.size(), 3u);
-  EXPECT_EQ(names[0], "sim");
-  EXPECT_EQ(names[1], "percell");
-  EXPECT_EQ(names[2], "remote");
+  EXPECT_EQ(names, (std::vector<std::string>{"sim", "percell"}));
 }
 
 TEST(ExecutorRegistry, SetExecutorSwitchesActiveBackend) {
@@ -72,15 +69,16 @@ TEST(ExecutorRegistry, UnknownNameThrowsListingBackends) {
   // Whatever is active (the suite may run under XBARLIFE_EXECUTOR), a
   // failed set must leave it untouched.
   const std::string before = executor_name();
-  try {
-    set_executor("fpga");
-    FAIL() << "expected InvalidArgument";
-  } catch (const InvalidArgument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("fpga"), std::string::npos);
-    EXPECT_NE(msg.find("sim"), std::string::npos);
-    EXPECT_NE(msg.find("percell"), std::string::npos);
-    EXPECT_NE(msg.find("remote"), std::string::npos);
+  for (const std::string name : {"fpga", "remote"}) {
+    try {
+      set_executor(name);
+      FAIL() << "expected InvalidArgument for " << name;
+    } catch (const InvalidArgument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("'" + name + "'"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("(available: sim, percell)"), std::string::npos)
+          << msg;
+    }
   }
   EXPECT_EQ(executor_name(), before);
 }
@@ -176,50 +174,37 @@ TEST(Executors, ProgramCellEqualsOneOpSequence) {
 
 // Satellite 2 (pulse accounting): total_pulses and the attached obs
 // counters must agree exactly across backends — the batched path tallies
-// per batch, the per-cell path per pulse, and the remote path credits the
-// client-side counters after restoring the worker's state — but the
-// totals are identical.
+// per batch, the per-cell path per pulse — but the totals are identical.
 TEST(Executors, PulseAccountingIdenticalAcrossBackends) {
   const ProgramSequence seq = mixed_sequence(9, 9);
 
   obs::Counter pulses_a, traced_a, seqs_a, batches_a;
   obs::Counter pulses_b, traced_b, seqs_b, batches_b;
-  obs::Counter pulses_c, traced_c, seqs_c, batches_c;
 
   Crossbar a(9, 9, dev(), ag());
   Crossbar b(9, 9, dev(), ag());
-  Crossbar c(9, 9, dev(), ag());
   a.attach_pulse_counters(&pulses_a, &traced_a);
   a.attach_executor_counters(&seqs_a, &batches_a);
   b.attach_pulse_counters(&pulses_b, &traced_b);
   b.attach_executor_counters(&seqs_b, &batches_b);
-  c.attach_pulse_counters(&pulses_c, &traced_c);
-  c.attach_executor_counters(&seqs_c, &batches_c);
 
   const ExecReport ra = SimExecutor{}.execute(a, seq);
   const ExecReport rb = PerCellExecutor{}.execute(b, seq);
-  const ExecReport rc = RemoteExecutor{RemoteConfig{}}.execute(c, seq);
 
   EXPECT_EQ(a.total_pulses(), b.total_pulses());
-  EXPECT_EQ(a.total_pulses(), c.total_pulses());
   EXPECT_EQ(a.total_pulses(), ra.stats.pulses);
   EXPECT_EQ(pulses_a.value(), pulses_b.value());
-  EXPECT_EQ(pulses_a.value(), pulses_c.value());
   EXPECT_EQ(pulses_a.value(), ra.stats.pulses);
   EXPECT_EQ(traced_a.value(), traced_b.value());
-  EXPECT_EQ(traced_a.value(), traced_c.value());
   // A 9x9 array traces 1-of-9 cells, so some pulses must be traced.
   EXPECT_GT(traced_a.value(), 0u);
   EXPECT_LT(traced_a.value(), pulses_a.value());
 
   EXPECT_EQ(seqs_a.value(), 1u);
   EXPECT_EQ(seqs_b.value(), 1u);
-  EXPECT_EQ(seqs_c.value(), 1u);
   EXPECT_EQ(batches_a.value(), batches_b.value());
-  EXPECT_EQ(batches_a.value(), batches_c.value());
   EXPECT_EQ(batches_a.value(), ra.stats.batches);
   EXPECT_EQ(ra.stats.batches, rb.stats.batches);
-  EXPECT_EQ(ra.stats.batches, rc.stats.batches);
 }
 
 TEST(Executors, EmptySequenceIsANoOp) {

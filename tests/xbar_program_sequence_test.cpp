@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "persist/state_io.hpp"
 
 namespace xbarlife::xbar {
 namespace {
@@ -59,38 +58,6 @@ TEST(ProgramSequence, EmptySequenceHasZeroStats) {
   const SequenceStats s = seq.stats();
   EXPECT_EQ(s.pulses, 0u);
   EXPECT_EQ(s.batches, 0u);
-}
-
-TEST(ProgramSequence, SerializationRoundTripIsByteIdentical) {
-  ProgramSequence seq;
-  seq.push(ProgramOp::pulse(5, 9, 12345.6789));
-  seq.push(ProgramOp::verify(5, 9));
-  seq.push(ProgramOp::wait(0.25));
-  seq.push(ProgramOp::barrier());
-
-  persist::StateWriter w;
-  seq.save_state(w);
-  persist::StateReader r(w.data());
-  const ProgramSequence back = ProgramSequence::load_state(r);
-  EXPECT_TRUE(r.done());
-  EXPECT_EQ(back, seq);
-
-  // A second serialization of the restored sequence must produce the
-  // exact same bytes (floats travel bit-cast).
-  persist::StateWriter w2;
-  back.save_state(w2);
-  EXPECT_EQ(w2.data(), w.data());
-}
-
-TEST(ProgramSequence, LoadRejectsUnknownOpKind) {
-  persist::StateWriter w;
-  w.u64(1);
-  w.u8(200);  // not a valid OpKind
-  w.u32(0);
-  w.u32(0);
-  w.f64(0.0);
-  persist::StateReader r(w.data());
-  EXPECT_THROW(ProgramSequence::load_state(r), InvalidArgument);
 }
 
 TEST(SequenceBuilder, GroupsOpsIntoAscendingColumnsWithBarriers) {

@@ -13,7 +13,6 @@
 //                      [--compare-ladder] [--checkpoint PATH]
 //                      [--job-timeout MS] [--strict]
 //   xbarlife device    [--pulses N] [--target-r OHMS]
-//   xbarlife bench     [--reps N] [--dim N]
 //   xbarlife models
 //   xbarlife info
 //
@@ -67,12 +66,10 @@
 // 1 anything else. The full table lives in docs/output_schema.md.
 #include <algorithm>
 #include <charconv>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -88,7 +85,6 @@
 #include "common/rng.hpp"
 #include "common/shutdown.hpp"
 #include "common/table.hpp"
-#include "core/bench_report.hpp"
 #include "core/experiment.hpp"
 #include "core/fault_campaign.hpp"
 #include "core/model_registry.hpp"
@@ -100,11 +96,8 @@
 #include "obs/obs.hpp"
 #include "obs/perfetto.hpp"
 #include "obs/sink.hpp"
-#include "nn/quantized.hpp"
 #include "persist/checkpoint.hpp"
-#include "mapping/mapper.hpp"
 #include "tensor/kernels/kernels.hpp"
-#include "tensor/matmul.hpp"
 #include "xbar/executor.hpp"
 
 using namespace xbarlife;
@@ -114,15 +107,14 @@ namespace {
 /// Every option some command reads. parse() rejects any other name, so a
 /// typo fails with exit 2 instead of silently running on the default.
 constexpr std::string_view kKnownOptions[] = {
-    "accuracy-floor", "checkpoint",  "chunk",      "compare-ladder",
-    "dim",            "executor",    "fault-seed", "job-timeout",
-    "json",           "kernel",      "line-resistance",
-    "model",          "no-ladder",   "out",        "profile",
-    "pulses",         "quantized",   "read-noise", "replicates",
-    "reps",           "scenario",    "seed",       "sessions",
-    "skewed",         "spare-rows",  "status-file", "strict",
-    "stuck-off",      "stuck-on",    "target-r",   "threads",
-    "trace",          "write-noise",
+    "accuracy-floor", "checkpoint",  "chunk",       "compare-ladder",
+    "executor",       "fault-seed",  "job-timeout", "json",
+    "kernel",         "line-resistance",            "model",
+    "no-ladder",      "out",         "profile",     "pulses",
+    "quantized",      "read-noise",  "replicates",  "scenario",
+    "seed",           "sessions",    "skewed",      "spare-rows",
+    "status-file",    "strict",      "stuck-off",   "stuck-on",
+    "target-r",       "threads",     "trace",       "write-noise",
 };
 
 /// Parses the whole of `text` as a number for option `option`. Rejects
@@ -298,21 +290,6 @@ class CliOutput {
   void finish_deterministic(const std::string& command,
                             obs::JsonValue data) {
     emit(command, std::move(data), nullptr, /*include_profile=*/false);
-  }
-
-  /// Emits a pre-built document (e.g. xbarlife.bench.v1) as the stream's
-  /// final line instead of a result.v1 envelope.
-  void finish_document(const std::string& command,
-                       const obs::JsonValue& doc) {
-    finish_progress();
-    close_profile(command);
-    if (json_sink_ != nullptr) {
-      json_sink_->write(doc.dump());
-      json_sink_->flush();
-    }
-    if (trace_sink_ != nullptr) {
-      trace_sink_->flush();
-    }
   }
 
  private:
@@ -858,116 +835,6 @@ int cmd_device(const Args& args, CliOutput& out) {
   return 0;
 }
 
-/// Downscaled in-process perf smoke: one GEMM kernel, one sweep fan-out,
-/// one lifetime scenario. Reports xbarlife.bench.v1 (the same schema the
-/// bench/ binaries emit) so CI can gate on regressions with
-/// scripts/check_bench_regression.py.
-int cmd_bench(const Args& args, CliOutput& out) {
-  const std::size_t reps = args.size("reps", 5);
-  const std::size_t dim = args.size("dim", 96);
-  if (reps == 0) {
-    throw xbarlife::InvalidArgument("--reps must be at least 1");
-  }
-  const auto ms_of = [](const std::function<void()>& fn) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  };
-  const auto measure = [&](const std::string& name,
-                           const std::function<void()>& fn) {
-    core::BenchSample sample;
-    sample.name = name;
-    fn();  // warm-up repetition, not recorded
-    for (std::size_t r = 0; r < reps; ++r) {
-      sample.values.push_back(ms_of(fn));
-    }
-    return sample;
-  };
-  out.human() << "Bench smoke: " << reps << " repetition(s), "
-              << parallel_threads() << " thread(s)...\n";
-
-  std::vector<core::BenchSample> samples;
-
-  Rng rng(11);
-  Tensor a(Shape{dim, dim});
-  Tensor b(Shape{dim, dim});
-  a.fill_gaussian(rng, 0.0f, 1.0f);
-  b.fill_gaussian(rng, 0.0f, 1.0f);
-  Tensor c(Shape{dim, dim});
-  samples.push_back(measure("gemm_" + std::to_string(dim),
-                            [&] { c = matmul(a, b); }));
-
-  // Int8 path: code once (amortized in real inference), time the
-  // quantized GEMM + dequantize itself.
-  const nn::QuantizedTensor qa = nn::quantize_activations(a);
-  const nn::QuantizedTensor qw = nn::quantize_weights(b, nn::QuantSpec{});
-  samples.push_back(measure("gemm_s8_" + std::to_string(dim),
-                            [&] { c = nn::quantized_linear(qa, qw, nullptr); }));
-
-  core::ExperimentConfig cfg;
-  cfg.name = "bench-mlp";
-  cfg.model = core::ExperimentConfig::Model::kMlp;
-  cfg.mlp_hidden = {16};
-  cfg.dataset.classes = 4;
-  cfg.dataset.channels = 1;
-  cfg.dataset.height = 8;
-  cfg.dataset.width = 8;
-  cfg.dataset.train_per_class = 8;
-  cfg.dataset.test_per_class = 4;
-  cfg.train_config.epochs = 2;
-  cfg.train_config.batch = 8;
-  cfg.lifetime.max_sessions = 6;
-  cfg.lifetime.tuning.max_iterations = 10;
-  cfg.lifetime.tuning.eval_samples = 16;
-  cfg.lifetime.selection_eval_samples = 16;
-  cfg.target_accuracy_fraction = 0.8;
-
-  // The workloads run unobserved: instrumentation is zero-cost when no
-  // sink is attached, and timing the bare path keeps the numbers honest.
-  samples.push_back(measure("lifetime_scenario", [&] {
-    core::run_scenario(cfg, core::Scenario::kTT);
-  }));
-
-  const core::ScenarioRunner runner(21);
-  const auto jobs = core::ScenarioRunner::cross(
-      cfg, {core::Scenario::kTT, core::Scenario::kSTT}, 2);
-  samples.push_back(
-      measure("sweep_fanout", [&] { runner.run(jobs); }));
-
-  // Batched vs per-cell programming: a full-array write pass
-  // (skip_unchanged=false pulses every cell every rep) through each
-  // executor backend on its own persistent crossbar. The pair feeds
-  // check_bench_regression.py's batched <= percell invariant.
-  {
-    const std::size_t n = 64;
-    Rng prng(31);
-    Tensor w(Shape{n, n});
-    w.fill_gaussian(prng, 0.0f, 0.5f);
-    const mapping::WeightRange wr = mapping::weight_range_of(w);
-    const mapping::MappingPlan plan(wr, {1e4, 1e5}, 32);
-    const xbar::SimExecutor sim;
-    const xbar::PerCellExecutor percell;
-    xbar::Crossbar xb_batched(n, n, {}, {});
-    samples.push_back(measure("program_batched", [&] {
-      mapping::program_weights(xb_batched, w, plan, false, nullptr, nullptr,
-                               nullptr, &sim);
-    }));
-    xbar::Crossbar xb_percell(n, n, {}, {});
-    samples.push_back(measure("program_percell", [&] {
-      mapping::program_weights(xb_percell, w, plan, false, nullptr, nullptr,
-                               nullptr, &percell);
-    }));
-  }
-
-  out.human() << core::bench_table(samples);
-  out.finish_document(
-      "bench",
-      core::bench_document("xbarlife bench", samples, parallel_threads()));
-  return 0;
-}
-
 int cmd_models(CliOutput& out) {
   const core::ModelRegistry& registry = core::ModelRegistry::instance();
   TablePrinter table({"model", "description"});
@@ -1017,10 +884,6 @@ int cmd_info() {
              "            cross product of the fault lists\n"
              "  device    [--pulses N] [--target-r OHMS]\n"
              "            age a single device and report its window\n"
-             "  bench     [--reps N] [--dim N]\n"
-             "            in-process perf smoke (GEMM, int8 GEMM, lifetime\n"
-             "            scenario, sweep fan-out, batched vs per-cell\n"
-             "            programming); --json emits xbarlife.bench.v1\n"
              "  models    list registered models\n"
              "  info      this text\n\n"
              "fault options (lifetime: scalars; faults: comma lists for\n"
@@ -1125,9 +988,6 @@ int main(int argc, char** argv) {
     }
     if (args.command == "device") {
       return cmd_device(args, out);
-    }
-    if (args.command == "bench") {
-      return cmd_bench(args, out);
     }
     if (args.command == "models") {
       return cmd_models(out);

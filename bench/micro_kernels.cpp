@@ -128,8 +128,8 @@ BENCHMARK(BM_ProgramWeights)->Arg(64)->Arg(128);
 /// This isolates the programming hot path the executor owns —
 /// BM_ProgramWeights above covers the end-to-end write-verify pass
 /// under default params, whose target computation is
-/// backend-independent. check_bench_regression.py asserts
-/// batched <= percell on the CLI twins of this pair.
+/// backend-independent. bench/micro_parallel exits 1 when batched is
+/// slower than percell on a full-array program_weights twin of this pair.
 void execute_sequence_with(benchmark::State& state,
                            const xbar::ProgramExecutor& exec) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -1,12 +1,18 @@
-// Thread-pool scaling microbench: serial vs multi-threaded GEMM and a
-// LeNet-style lifetime sweep, with the determinism contract checked on
-// real workloads (multi-threaded results must be byte-identical to the
-// serial ones). Emits JSON to stdout and results/micro_parallel.json.
+// Thread-pool scaling and programming-backend microbench: serial vs
+// multi-threaded GEMM and a LeNet-style lifetime sweep, and batched vs
+// per-cell crossbar programming. Emits JSON to stdout and
+// results/micro_parallel.json.
+//
+// Exits 1 when a multi-threaded result is not byte-identical to the
+// serial one, or when a speed invariant fails: threaded must not be
+// slower than serial (GEMM and sweep), nor batched programming slower
+// than per-cell, by more than kSlack. GEMM and programming compare
+// their fastest timed repetitions; the sweep is timed once.
 #include <algorithm>
-#include <chrono>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -14,15 +20,36 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/scenario_runner.hpp"
+#include "mapping/mapper.hpp"
 #include "tensor/matmul.hpp"
+#include "xbar/executor.hpp"
 
 using namespace xbarlife;
 
 namespace {
 
-double min_seconds(const core::BenchSample& sample) {
-  return *std::min_element(sample.values.begin(), sample.values.end()) /
-         1e3;
+/// Allowed excess of the faster-by-design side over its reference.
+constexpr double kSlack = 1.10;
+
+/// Fastest of `reps` timed calls of `fn` after one untimed warm-up, in
+/// seconds.
+double min_seconds(const std::function<void()>& fn, int reps) {
+  fn();
+  double best = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < reps; ++r) {
+    best = std::min(best, bench::ms_of(fn) / 1e3);
+  }
+  return best;
+}
+
+/// Prints one speed invariant and returns whether it holds.
+bool invariant(const std::string& fast, double fast_s,
+               const std::string& reference, double reference_s) {
+  const bool ok = fast_s <= reference_s * kSlack;
+  std::cout << "invariant " << fast << " <= " << reference << " * "
+            << kSlack << ": " << fast_s << " s vs " << reference_s << " s "
+            << (ok ? "OK" : "VIOLATED") << "\n";
+  return ok;
 }
 
 core::ExperimentConfig sweep_config(bool quick) {
@@ -93,17 +120,13 @@ int main() {
   b.fill_gaussian(rng, 0.0f, 1.0f);
 
   set_parallel_threads(1);
-  Tensor c_serial = matmul(a, b);
-  const core::BenchSample gemm_serial_sample = bench::measure_ms(
-      "gemm_serial", [&] { c_serial = matmul(a, b); },
-      static_cast<std::size_t>(repeats));
-  const double gemm_serial = min_seconds(gemm_serial_sample);
+  Tensor c_serial;
+  const double gemm_serial =
+      min_seconds([&] { c_serial = matmul(a, b); }, repeats);
   set_parallel_threads(threads);
-  Tensor c_threaded = matmul(a, b);
-  const core::BenchSample gemm_threaded_sample = bench::measure_ms(
-      "gemm_threaded", [&] { c_threaded = matmul(a, b); },
-      static_cast<std::size_t>(repeats));
-  const double gemm_threaded = min_seconds(gemm_threaded_sample);
+  Tensor c_threaded;
+  const double gemm_threaded =
+      min_seconds([&] { c_threaded = matmul(a, b); }, repeats);
   const bool gemm_identical = c_serial == c_threaded;
   const double gemm_speedup = gemm_serial / gemm_threaded;
   std::cout << "gemm " << dim << "^3: serial " << gemm_serial
@@ -120,18 +143,12 @@ int main() {
   // already seconds-scale, and the byte-identity check needs its result.
   set_parallel_threads(1);
   std::vector<core::ScenarioSweepEntry> sweep_one;
-  core::BenchSample sweep_serial_sample;
-  sweep_serial_sample.name = "sweep_serial";
-  sweep_serial_sample.values.push_back(
-      bench::ms_of([&] { sweep_one = runner.run(jobs); }));
-  const double sweep_serial = min_seconds(sweep_serial_sample);
+  const double sweep_serial =
+      bench::ms_of([&] { sweep_one = runner.run(jobs); }) / 1e3;
   set_parallel_threads(threads);
   std::vector<core::ScenarioSweepEntry> sweep_n;
-  core::BenchSample sweep_threaded_sample;
-  sweep_threaded_sample.name = "sweep_threaded";
-  sweep_threaded_sample.values.push_back(
-      bench::ms_of([&] { sweep_n = runner.run(jobs); }));
-  const double sweep_threaded = min_seconds(sweep_threaded_sample);
+  const double sweep_threaded =
+      bench::ms_of([&] { sweep_n = runner.run(jobs); }) / 1e3;
   set_parallel_threads(1);
   const bool sweep_identical = sweeps_identical(sweep_one, sweep_n);
   const double sweep_speedup = sweep_serial / sweep_threaded;
@@ -140,6 +157,45 @@ int main() {
             << sweep_threaded << " s, speedup " << sweep_speedup
             << "x, byte-identical series: "
             << (sweep_identical ? "yes" : "NO") << "\n";
+
+  // --- Programming: batched vs per-cell executor. ---
+  // A full-array write pass (skip_unchanged=false pulses every cell every
+  // rep) through each backend on its own persistent crossbar. A pass is
+  // sub-millisecond, so the fastest of kProgramReps is compared.
+  constexpr int kProgramReps = 10;
+  const std::size_t n = 64;
+  Rng prng(31);
+  Tensor w(Shape{n, n});
+  w.fill_gaussian(prng, 0.0f, 0.5f);
+  const mapping::MappingPlan plan(mapping::weight_range_of(w), {1e4, 1e5},
+                                  32);
+  const xbar::SimExecutor sim;
+  const xbar::PerCellExecutor percell;
+  xbar::Crossbar xb_batched(n, n, {}, {});
+  const double program_batched = min_seconds(
+      [&] {
+        mapping::program_weights(xb_batched, w, plan, false, nullptr,
+                                 nullptr, nullptr, &sim);
+      },
+      kProgramReps);
+  xbar::Crossbar xb_percell(n, n, {}, {});
+  const double program_percell = min_seconds(
+      [&] {
+        mapping::program_weights(xb_percell, w, plan, false, nullptr,
+                                 nullptr, nullptr, &percell);
+      },
+      kProgramReps);
+  std::cout << "program " << n << "x" << n << ": batched "
+            << program_batched << " s, per-cell " << program_percell
+            << " s\n";
+
+  const bool gemm_fast =
+      invariant("gemm_threaded", gemm_threaded, "gemm_serial", gemm_serial);
+  const bool sweep_fast = invariant("sweep_threaded", sweep_threaded,
+                                    "sweep_serial", sweep_serial);
+  const bool program_fast =
+      invariant("program_batched", program_batched, "program_percell",
+                program_percell);
 
   std::ostringstream json;
   json << "{\n"
@@ -154,16 +210,17 @@ int main() {
        << sweep_serial << ", \"threaded_s\": " << sweep_threaded
        << ", \"speedup\": " << sweep_speedup
        << ", \"byte_identical\": "
-       << (sweep_identical ? "true" : "false") << "}\n"
+       << (sweep_identical ? "true" : "false") << "},\n"
+       << "  \"program\": {\"dim\": " << n << ", \"batched_s\": "
+       << program_batched << ", \"percell_s\": " << program_percell
+       << "}\n"
        << "}\n";
   std::cout << json.str();
   const std::string out = bench::results_path("micro_parallel.json");
   std::ofstream(out) << json.str();
   std::cout << "JSON written to " << out << "\n";
-  bench::write_bench_json(
-      "micro_parallel",
-      {gemm_serial_sample, gemm_threaded_sample, sweep_serial_sample,
-       sweep_threaded_sample},
-      threads);
-  return (gemm_identical && sweep_identical) ? 0 : 1;
+  return (gemm_identical && sweep_identical && gemm_fast && sweep_fast &&
+          program_fast)
+             ? 0
+             : 1;
 }

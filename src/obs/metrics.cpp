@@ -1,20 +1,10 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 
 namespace xbarlife::obs {
-
-std::size_t HistogramMetric::bucket_index(double sample) {
-  if (!(sample > 0.0) || !std::isfinite(sample)) {
-    return 0;  // catch-all: zero, negative, NaN, inf
-  }
-  const int raw = std::ilogb(sample) + 33;
-  return static_cast<std::size_t>(
-      std::clamp(raw, 1, static_cast<int>(kBuckets) - 1));
-}
 
 void HistogramMetric::observe(double sample) {
   const std::lock_guard<std::mutex> lock(mu_);
@@ -22,7 +12,6 @@ void HistogramMetric::observe(double sample) {
   sum_ += sample;
   min_ = std::min(min_, sample);
   max_ = std::max(max_, sample);
-  ++buckets_[bucket_index(sample)];
 }
 
 std::uint64_t HistogramMetric::count() const {
@@ -50,71 +39,24 @@ double HistogramMetric::mean() const {
   return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
 }
 
-double HistogramMetric::quantile(double q) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return quantile_locked(q);
-}
-
-double HistogramMetric::quantile_locked(double q) const {
-  if (count_ == 0) {
-    return 0.0;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  const std::uint64_t rank = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(
-             std::ceil(q * static_cast<double>(count_))));
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    if (buckets_[i] == 0) {
-      continue;
-    }
-    if (cum + buckets_[i] >= rank) {
-      // Interpolate within the bucket on the log scale; bucket 0 has no
-      // meaningful lower edge, so it reports the observed minimum.
-      double value;
-      if (i == 0) {
-        value = min_;
-      } else {
-        const double f = static_cast<double>(rank - cum) /
-                         static_cast<double>(buckets_[i]);
-        value = std::ldexp(1.0, static_cast<int>(i) - 33) * std::exp2(f);
-      }
-      return std::clamp(value, min_, max_);
-    }
-    cum += buckets_[i];
-  }
-  return max_;
-}
-
-std::array<std::uint64_t, HistogramMetric::kBuckets> HistogramMetric::buckets()
-    const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return buckets_;
-}
-
 void HistogramMetric::combine(const HistogramMetric& other) {
   // Copy under the source lock first so combine(self) cannot deadlock.
   std::uint64_t ocount;
   double osum;
   double omin;
   double omax;
-  std::array<std::uint64_t, kBuckets> obuckets;
   {
     const std::lock_guard<std::mutex> lock(other.mu_);
     ocount = other.count_;
     osum = other.sum_;
     omin = other.min_;
     omax = other.max_;
-    obuckets = other.buckets_;
   }
   const std::lock_guard<std::mutex> lock(mu_);
   count_ += ocount;
   sum_ += osum;
   min_ = std::min(min_, omin);
   max_ = std::max(max_, omax);
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    buckets_[i] += obuckets[i];
-  }
 }
 
 namespace {

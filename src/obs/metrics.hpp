@@ -13,7 +13,6 @@
 // no metrics are attached.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -58,21 +57,9 @@ class Gauge {
   std::atomic<bool> set_{false};
 };
 
-/// Streaming summary (count / sum / min / max) of observed samples, plus a
-/// fixed log-scale bucket array for deterministic quantile estimates.
-///
-/// Buckets are powers of two: bucket 0 catches non-positive and non-finite
-/// samples, bucket i (i >= 1) spans [2^(i-33), 2^(i-32)) — covering
-/// ~1.2e-10 through ~2.1e9 with everything beyond clamped into the edge
-/// buckets. Every observe() updates the buckets, so combine() is a plain
-/// element-wise add and the merged state is invariant under merge order;
-/// quantile() reads only buckets/count/min/max (never the fp sum), so the
-/// estimates are byte-identical at any thread count and any fold order.
-/// The JSON export stays summary-only; quantiles are read through the API.
+/// Streaming summary (count / sum / min / max) of observed samples.
 class HistogramMetric {
  public:
-  static constexpr std::size_t kBuckets = 64;
-
   void observe(double sample);
 
   std::uint64_t count() const;
@@ -81,30 +68,17 @@ class HistogramMetric {
   double max() const;  ///< -inf when empty
   double mean() const;  ///< 0 when empty
 
-  /// Deterministic quantile estimate from the log buckets (q in [0,1]);
-  /// 0 when empty. Exact for min/max, within one bucket width otherwise.
-  double quantile(double q) const;
-
-  /// Snapshot of the bucket array.
-  std::array<std::uint64_t, kBuckets> buckets() const;
-
-  /// Maps a sample to its bucket index (exposed for tests).
-  static std::size_t bucket_index(double sample);
-
   /// Adds another summary into this one (used by Registry::merge_from).
-  /// Commutative and associative: combine(a,b) == combine(b,a) up to fp
-  /// addition of sums, and bucket/quantile state exactly.
+  /// Commutative and associative up to fp addition of sums: count, min
+  /// and max combine exactly.
   void combine(const HistogramMetric& other);
 
  private:
-  double quantile_locked(double q) const;
-
   mutable std::mutex mu_;
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-  std::array<std::uint64_t, kBuckets> buckets_{};
 };
 
 class Registry {

@@ -104,8 +104,6 @@ INSTANTIATE_TEST_SUITE_P(
         SinkCase{"faults", "--profile"},
         SinkCase{"device", "--json"}, SinkCase{"device", "--trace"},
         SinkCase{"device", "--profile"},
-        SinkCase{"bench", "--json"}, SinkCase{"bench", "--trace"},
-        SinkCase{"bench", "--profile"},
         SinkCase{"models", "--json"}, SinkCase{"models", "--trace"},
         SinkCase{"models", "--profile"}),
     [](const ::testing::TestParamInfo<SinkCase>& param_info) {
@@ -114,10 +112,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(CliOutput, UnknownCommandExitsUsage) {
   EXPECT_EQ(run_cli("frobnicate"), 2);
-}
-
-TEST(CliOutput, BenchRejectsZeroReps) {
-  EXPECT_EQ(run_cli("bench --reps 0"), 2);
+  // The removed perf-smoke subcommand is unknown like any other name.
+  EXPECT_EQ(run_cli("bench"), 2);
 }
 
 // An impossibly small --job-timeout expires every job instantly: the
@@ -210,6 +206,11 @@ struct BadArgCase {
   const char* args;    ///< full argument list after the binary
   const char* option;  ///< option the error message must name
 };
+
+// Without it gtest prints the case as the raw bytes of its three pointers,
+// which move with every run under address-space randomisation, and that
+// text is part of the name ctest gives the test.
+std::string PrintToString(const BadArgCase& c) { return c.option; }
 
 class BadArgument : public ::testing::TestWithParam<BadArgCase> {};
 

@@ -43,8 +43,9 @@
 //                    "xbarlife.ckpt.v1" snapshots at every checkpoint
 //                    boundary and resume from the newest valid generation;
 //                    also arms SIGINT/SIGTERM for a cooperative shutdown
-//   --chunk N        (sweep/faults) jobs per checkpoint snapshot
-//                    (default 16); a killed run loses at most one chunk
+//   --chunk N        (sweep/faults) jobs per chunk (default 16); with
+//                    --checkpoint a snapshot follows every chunk, so a
+//                    killed run loses at most one chunk
 //   --job-timeout MS (lifetime/sweep/faults) per-job cooperative watchdog;
 //                    a sweep/campaign job over budget is recorded as
 //                    failed+timed_out, isolated like any other job error;
@@ -82,7 +83,6 @@
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
-#include "common/rng.hpp"
 #include "common/shutdown.hpp"
 #include "common/table.hpp"
 #include "core/experiment.hpp"
@@ -464,7 +464,7 @@ double job_timeout_for(const Args& args) {
   return ms;
 }
 
-/// Validated --chunk value (jobs per snapshot; 16 when absent).
+/// Validated --chunk value (jobs per chunk; 16 when absent).
 std::size_t checkpoint_chunk_for(const Args& args) {
   const std::size_t chunk = args.size("chunk", 16);
   if (chunk == 0) {
@@ -492,28 +492,15 @@ int cmd_train(const Args& args, CliOutput& out) {
               << (skewed ? " with the skewed regularizer" : " with L2")
               << "...\n";
 
-  core::TrainedModel tm{nn::Network{}, {}};
+  std::unique_ptr<persist::CheckpointStore> store;
   if (!ckpt.empty()) {
-    // Checkpoint mode mirrors train_model() step for step (same seeds,
-    // same construction order) but drives the resumable Trainer so the
-    // run snapshots after every epoch.
-    persist::CheckpointStore store(ckpt);
-    Rng rng(cfg.seed);
-    const data::TrainTest data = data::make_synthetic(cfg.dataset);
-    tm.network = core::build_model(cfg, rng);
-    std::shared_ptr<nn::SkewedL2Regularizer> skew_reg;
-    nn::L2Regularizer l2_reg(cfg.l2_lambda);
-    nn::Regularizer* reg = &l2_reg;
-    if (skewed) {
-      skew_reg = core::make_skewed_regularizer(cfg.skew);
-      reg = skew_reg.get();
-    }
-    core::Trainer trainer(tm.network, data, cfg.train_config, reg);
-    tm.history = trainer.run(out.obs(), &store);
-    out.human() << "checkpoint: " << store.path() << " (generation "
-                << store.generation() << ")\n";
-  } else {
-    tm = core::train_model(cfg, skewed, out.obs());
+    store = std::make_unique<persist::CheckpointStore>(ckpt);
+  }
+  core::TrainedModel tm =
+      core::train_model(cfg, skewed, out.obs(), store.get());
+  if (store != nullptr) {
+    out.human() << "checkpoint: " << store->path() << " (generation "
+                << store->generation() << ")\n";
   }
   out.human() << tm.network.summary()
               << core::train_history_table(tm.history);
@@ -528,7 +515,7 @@ int cmd_train(const Args& args, CliOutput& out) {
     out.human() << "Parameters written to " << path << "\n";
     data.set("weights_out", path);
   }
-  if (!ckpt.empty()) {
+  if (store != nullptr) {
     data.set("resume", resume_json("train"));
     out.finish_deterministic("train", std::move(data));
   } else {
@@ -624,6 +611,25 @@ void enforce_strict(const Args& args, std::ostream& human,
   }
 }
 
+/// Console report of a job-grid run (sweep --checkpoint, faults): one
+/// row per job, then the snapshot line when a checkpoint is attached.
+void print_job_grid(std::ostream& human,
+                    const core::CheckpointedSweepOutcome& outcome,
+                    const std::string& checkpoint) {
+  human << core::checkpointed_sweep_table(outcome);
+  if (checkpoint.empty()) {
+    return;
+  }
+  human << "checkpoint: " << checkpoint << " (generation "
+        << outcome.checkpoint_generation << ")";
+  if (outcome.resumed) {
+    human << ", " << outcome.resumed_jobs << " job(s) restored, "
+          << outcome.executed_jobs << " executed"
+          << (outcome.fallback_used ? " (fallback generation)" : "");
+  }
+  human << "\n";
+}
+
 int cmd_sweep(const Args& args, CliOutput& out) {
   core::ExperimentConfig cfg = config_for(args);
   const std::size_t replicates = args.size("replicates", 2);
@@ -650,17 +656,7 @@ int cmd_sweep(const Args& args, CliOutput& out) {
               return core::sweep_entry_json_deterministic(entry).dump();
             },
             out.obs());
-    out.human() << core::checkpointed_sweep_table(outcome);
-    out.human() << "checkpoint: " << ckpt << " (generation "
-                << outcome.checkpoint_generation << ")";
-    if (outcome.resumed) {
-      out.human() << ", " << outcome.resumed_jobs
-                  << " job(s) restored, " << outcome.executed_jobs
-                  << " executed"
-                  << (outcome.fallback_used ? " (fallback generation)"
-                                            : "");
-    }
-    out.human() << "\n";
+    print_job_grid(out.human(), outcome, ckpt);
 
     obs::JsonValue sweep = obs::JsonValue::object();
     sweep.set("job_count", outcome.jobs.size());
@@ -772,31 +768,20 @@ int cmd_faults(const Args& args, CliOutput& out) {
               << " replicate(s) on " << campaign.base.name << " ("
               << job_count << " jobs, " << parallel_threads()
               << " thread(s))...\n";
-  const core::FaultCampaignResult result =
+  const core::CheckpointedSweepOutcome outcome =
       core::run_fault_campaign(campaign, out.obs());
-  out.human() << core::fault_campaign_table(result);
-  if (!campaign.checkpoint_path.empty()) {
-    out.human() << "checkpoint: " << campaign.checkpoint_path
-                << " (generation " << result.checkpoint_generation << ")";
-    if (result.resumed_jobs > 0) {
-      out.human() << ", " << result.resumed_jobs
-                  << " job(s) restored, " << result.executed_jobs
-                  << " executed"
-                  << (result.fallback_used ? " (fallback generation)"
-                                           : "");
-    }
-    out.human() << "\n";
-  }
+  print_job_grid(out.human(), outcome, campaign.checkpoint_path);
 
   obs::JsonValue data = obs::JsonValue::object();
   data.set("config", core::experiment_config_json(campaign.base));
-  data.set("campaign", core::fault_campaign_json(result));
+  data.set("campaign",
+           core::fault_campaign_json(campaign.campaign_seed, outcome));
   if (!campaign.checkpoint_path.empty()) {
     data.set("resume", resume_json("faults"));
   }
   out.finish_deterministic("faults", std::move(data));
-  enforce_strict(args, out.human(), "campaign", result.failed_jobs,
-                 result.timed_out_jobs, result.jobs.size());
+  enforce_strict(args, out.human(), "campaign", outcome.failed_jobs,
+                 outcome.timed_out_jobs, outcome.jobs.size());
   return 0;
 }
 
@@ -924,8 +909,9 @@ int cmd_info() {
              "                  xbarlife.ckpt.v1 snapshots with automatic\n"
              "                  resume; arms SIGINT/SIGTERM for a graceful\n"
              "                  shutdown (final snapshot, exit 6)\n"
-             "  --chunk N       (sweep/faults) jobs per snapshot (default\n"
-             "                  16); a killed run loses at most one chunk\n"
+             "  --chunk N       (sweep/faults) jobs per chunk (default 16);\n"
+             "                  with --checkpoint a snapshot follows each\n"
+             "                  chunk, a killed run loses at most one\n"
              "  --job-timeout MS (lifetime/sweep/faults) per-job watchdog;\n"
              "                  sweep/campaign jobs over budget fail with\n"
              "                  timed_out:true; lifetime expiry exits 8\n"

@@ -28,10 +28,10 @@ class ThreadPool {
     return pool;
   }
 
-  std::size_t size() {
-    std::lock_guard<std::mutex> lk(dispatch_mutex_);
-    return size_unlocked();
-  }
+  /// Lock-free: run_on_all holds dispatch_mutex_ for the whole job, and
+  /// job bodies read the size (e.g. the GEMM row grain), so taking that
+  /// mutex here would deadlock a GEMM issued inside a parallel_for.
+  std::size_t size() const { return size_.load(); }
 
   void resize(std::size_t n) {
     std::lock_guard<std::mutex> lk(dispatch_mutex_);
@@ -45,7 +45,7 @@ class ThreadPool {
     // serial regression); the partition is grain-based, so capping the
     // worker count never changes results.
     n = std::min(n, cores);
-    if (n == size_unlocked()) {
+    if (n == size()) {
       return;
     }
     stop_workers();
@@ -90,8 +90,6 @@ class ThreadPool {
 
   ~ThreadPool() { stop_workers(); }
 
-  std::size_t size_unlocked() const { return workers_.size() + 1; }
-
   void start_workers(std::size_t helpers) {
     // New workers must treat the current generation as already seen:
     // starting from 0 after a resize would wake them instantly on a stale
@@ -105,6 +103,7 @@ class ThreadPool {
     for (std::size_t i = 0; i < helpers; ++i) {
       workers_.emplace_back([this, gen] { worker_loop(gen); });
     }
+    size_.store(workers_.size() + 1);
   }
 
   void stop_workers() {
@@ -145,6 +144,9 @@ class ThreadPool {
   }
 
   std::mutex dispatch_mutex_;  ///< serializes run_on_all / resize
+  /// workers_.size() + 1, written by start_workers (under dispatch_mutex_
+  /// or in the constructor) so size() can read it without a lock.
+  std::atomic<std::size_t> size_{1};
   std::mutex state_mutex_;
   std::condition_variable work_ready_;
   std::condition_variable job_done_;

@@ -38,18 +38,20 @@ nn::Network build_model(const ExperimentConfig& config, Rng& rng) {
 }
 
 TrainedModel train_model(const ExperimentConfig& config, bool skewed,
-                         const obs::Obs& obs) {
+                         const obs::Obs& obs,
+                         persist::CheckpointStore* store) {
   Rng rng(config.seed);
   const data::TrainTest data = data::make_synthetic(config.dataset);
   TrainedModel tm{build_model(config, rng), {}};
+  std::shared_ptr<nn::SkewedL2Regularizer> skewed_reg;
+  nn::L2Regularizer l2_reg(config.l2_lambda);
+  nn::Regularizer* reg = &l2_reg;
   if (skewed) {
-    auto reg = make_skewed_regularizer(config.skew);
-    tm.history =
-        train(tm.network, data, config.train_config, reg.get(), obs);
-  } else {
-    nn::L2Regularizer reg(config.l2_lambda);
-    tm.history = train(tm.network, data, config.train_config, &reg, obs);
+    skewed_reg = make_skewed_regularizer(config.skew);
+    reg = skewed_reg.get();
   }
+  Trainer trainer(tm.network, data, config.train_config, reg);
+  tm.history = trainer.run(obs, store);
   return tm;
 }
 

@@ -73,12 +73,16 @@ nn::Network build_model(const ExperimentConfig& config, Rng& rng);
 /// Trains a fresh instance of the configured model with either the
 /// traditional L2 or the skewed regularizer. Returns the trained network
 /// and its history.
+///
+/// With a `store`, training snapshots after every epoch and resumes from
+/// the newest valid generation (see Trainer::run).
 struct TrainedModel {
   nn::Network network;
   TrainHistory history;
 };
 TrainedModel train_model(const ExperimentConfig& config, bool skewed,
-                         const obs::Obs& obs = {});
+                         const obs::Obs& obs = {},
+                         persist::CheckpointStore* store = nullptr);
 
 /// Runs one scenario: trains (per the scenario's flavour), deploys, and
 /// simulates the lifetime protocol. The optional observability handle is

@@ -5,19 +5,20 @@
 // replicates, reusing ScenarioRunner's forked-seed fan-out so the whole
 // grid is pinned by one campaign seed — byte-identical at any thread
 // count. Per-job failures are isolated (a throwing scenario becomes a
-// failed entry, not a fatal error), and an optional checkpoint file makes
-// the campaign resumable through the shared crash-safe sweep engine
-// (core/sweep_checkpoint.hpp): completed entries are persisted as
-// serialized JSON inside an "xbarlife.ckpt.v1" snapshot and spliced back
-// verbatim on resume, so a killed-and-resumed campaign emits the same
-// result document as an uninterrupted one.
+// failed entry, not a fatal error). The grid runs through the job-grid
+// engine (core/sweep_checkpoint.hpp) with or without a checkpoint file:
+// with one, completed entries are persisted as serialized JSON inside an
+// "xbarlife.ckpt.v1" snapshot and spliced back verbatim on resume, so a
+// killed-and-resumed campaign emits the same result document and trace
+// as an uninterrupted one, and both match a campaign run without a
+// checkpoint.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/scenario_runner.hpp"
+#include "core/sweep_checkpoint.hpp"
 #include "resilience/resilience.hpp"
 
 namespace xbarlife::core {
@@ -40,34 +41,13 @@ struct FaultCampaignConfig {
   std::uint64_t campaign_seed = 0x5eedULL;
   /// Checkpoint file path; empty disables checkpointing.
   std::string checkpoint_path;
-  /// Jobs per snapshot chunk when checkpointing (the save cadence; a
-  /// killed campaign loses at most one chunk of work).
+  /// Jobs per chunk (the snapshot cadence when checkpointing: a killed
+  /// campaign loses at most one chunk of work).
   std::size_t checkpoint_chunk = 16;
   /// Per-job watchdog budget in wall-clock ms; <= 0 disables it.
   double job_timeout_ms = 0.0;
 
   void validate() const;
-};
-
-/// Per-job campaign outcome: the job's identity plus its persisted entry
-/// JSON. `entry` is present only for jobs executed in this process (jobs
-/// restored from a checkpoint carry their stored JSON instead).
-struct FaultCampaignJob {
-  std::string label;
-  std::string entry_json;  ///< deterministic (no wall-clock fields)
-  bool resumed = false;    ///< restored from the checkpoint file
-  std::optional<ScenarioSweepEntry> entry;
-};
-
-struct FaultCampaignResult {
-  std::uint64_t campaign_seed = 0;
-  std::vector<FaultCampaignJob> jobs;
-  std::size_t resumed_jobs = 0;
-  std::size_t executed_jobs = 0;
-  std::size_t failed_jobs = 0;     ///< includes timed-out jobs
-  std::size_t timed_out_jobs = 0;  ///< killed by the --job-timeout watchdog
-  std::uint64_t checkpoint_generation = 0;
-  bool fallback_used = false;  ///< restored from the .bak generation
 };
 
 /// Deterministic entry document for one campaign job (excludes wall_ms —
@@ -82,16 +62,14 @@ obs::JsonValue campaign_entry_json(const ScenarioSweepEntry& entry,
 /// different campaign, CheckpointError when every snapshot generation is
 /// corrupt, and InterruptedError when a cooperative shutdown left jobs
 /// pending (completed work is already snapshotted).
-FaultCampaignResult run_fault_campaign(const FaultCampaignConfig& config,
-                                       const obs::Obs& obs = {});
+CheckpointedSweepOutcome run_fault_campaign(const FaultCampaignConfig& config,
+                                            const obs::Obs& obs = {});
 
 /// The campaign's result-document "data" payload:
 ///   {"campaign_seed":..., "job_count":N, "results":[<entries>]}
 /// Entries restored from a checkpoint are spliced verbatim, so resumed
 /// and uninterrupted campaigns dump identical bytes.
-obs::JsonValue fault_campaign_json(const FaultCampaignResult& result);
-
-/// Console summary, one row per job.
-std::string fault_campaign_table(const FaultCampaignResult& result);
+obs::JsonValue fault_campaign_json(std::uint64_t campaign_seed,
+                                   const CheckpointedSweepOutcome& outcome);
 
 }  // namespace xbarlife::core

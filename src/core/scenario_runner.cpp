@@ -87,8 +87,7 @@ std::vector<ScenarioSweepEntry> ScenarioRunner::run(
     for (std::size_t i = begin; i < end; ++i) {
       entries[i] = run_single(jobs[i], fork.job(i));
       // Heartbeat as jobs complete (any order); the enclosing phase is
-      // set by the caller, which knows the full campaign size — this
-      // run() may only see one resumable batch of it.
+      // set by the caller.
       obs.progress_tick();
     }
   });

@@ -1,6 +1,7 @@
 #include "core/sweep_checkpoint.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -116,10 +117,8 @@ CheckpointedSweepOutcome run_checkpointed_sweep(
     const ScenarioRunner& runner, const std::vector<ScenarioJob>& jobs,
     const CheckpointedSweepConfig& config,
     const EntrySerializer& serialize_entry, const obs::Obs& obs) {
-  XB_CHECK(!config.checkpoint_path.empty(),
-           "checkpointed sweep needs a checkpoint path");
   XB_CHECK(static_cast<bool>(serialize_entry),
-           "checkpointed sweep needs an entry serializer");
+           "job-grid engine needs an entry serializer");
 
   CheckpointedSweepOutcome out;
   out.jobs.resize(jobs.size());
@@ -128,16 +127,19 @@ CheckpointedSweepOutcome run_checkpointed_sweep(
   }
 
   SweepState state(config, runner.sweep_seed(), jobs, out.jobs);
-  persist::CheckpointStore store(config.checkpoint_path);
-  const auto info = store.load(state);
-  if (info.has_value()) {
-    out.resumed = true;
-    out.fallback_used = info->fallback_used;
-    for (const SweepJobResult& job : out.jobs) {
-      out.resumed_jobs += job.resumed;
+  std::optional<persist::CheckpointStore> store;
+  if (!config.checkpoint_path.empty()) {
+    store.emplace(config.checkpoint_path);
+    const auto info = store->load(state);
+    if (info.has_value()) {
+      out.resumed = true;
+      out.fallback_used = info->fallback_used;
+      for (const SweepJobResult& job : out.jobs) {
+        out.resumed_jobs += job.resumed;
+      }
+      emit_resume_event(obs, config.kind, info->generation,
+                        info->fallback_used);
     }
-    emit_resume_event(obs, config.kind, info->generation,
-                      info->fallback_used);
   }
 
   std::vector<std::size_t> pending;
@@ -147,19 +149,16 @@ CheckpointedSweepOutcome run_checkpointed_sweep(
     }
   }
 
-  // Trace-only fork parent: child registries and profilers are never
-  // merged here — a resumed run cannot reconstruct the killed process's
-  // metrics, so checkpoint-mode documents omit them (the CLI renders
-  // them via the deterministic finisher) and the engine doesn't pay for
-  // collecting them.
-  obs::Obs fork_parent;
-  fork_parent.trace = obs.trace;
+  // A resumed run cannot reconstruct the killed process's metrics or
+  // spans, so only the executed jobs' registries and profiles reach
+  // `obs` (checkpoint-mode documents omit both; the status file's
+  // counters and the --profile job tracks still see them).
   std::vector<std::string> labels;
   labels.reserve(jobs.size());
   for (const ScenarioJob& job : jobs) {
     labels.push_back(job.label);
   }
-  obs::ObsFork fork(fork_parent, std::move(labels));
+  obs::ObsFork fork(obs, std::move(labels));
 
   // Resumed jobs count as already done, so a resumed run's heartbeat
   // starts where the killed run left off.
@@ -195,10 +194,14 @@ CheckpointedSweepOutcome run_checkpointed_sweep(
     });
     for (std::size_t k = start; k < end; ++k) {
       out.jobs[pending[k]].trace_lines = fork.take_job_lines(pending[k]);
+      fork.merge_metrics_and_profile(pending[k]);
     }
     out.executed_jobs += end - start;
-    store.save(state);
-    emit_checkpoint_saved(obs, config.kind, store.generation());
+    if (!store.has_value()) {
+      continue;
+    }
+    store->save(state);
+    emit_checkpoint_saved(obs, config.kind, store->generation());
     // Cooperative shutdown boundary: the chunk just finished is on disk,
     // so stopping here loses nothing — and every attempt makes at least
     // one chunk of progress even when the signal arrived mid-chunk.
@@ -207,10 +210,12 @@ CheckpointedSweepOutcome run_checkpointed_sweep(
           config.kind + " run interrupted with " +
           std::to_string(pending.size() - end) +
           " job(s) pending; resume with the same checkpoint: " +
-          store.path());
+          store->path());
     }
   }
-  out.checkpoint_generation = store.generation();
+  if (store.has_value()) {
+    out.checkpoint_generation = store->generation();
+  }
 
   // Deterministic fan-in, strictly in global job order: restored and
   // fresh jobs are indistinguishable here, so the merged stream never

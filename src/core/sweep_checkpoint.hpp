@@ -1,15 +1,17 @@
-// Crash-safe chunked sweep engine: the one fan-out used by every
-// checkpointed job grid (the sweep command and the fault campaign).
+// Chunked job-grid engine: the one fan-out behind every fault campaign
+// and every checkpointed sweep.
 //
-// Jobs run in fixed-size chunks; after each chunk the engine atomically
-// rewrites an "xbarlife.ckpt.v1" snapshot (see persist/checkpoint.hpp)
-// holding every completed job's serialized result-document entry, its
-// deterministic summary scalars, and its buffered trace lines. A resumed
-// run restores the completed jobs, executes only the pending ones, and
-// fans everything in strictly in global job order — so the result
-// document and the event stream (t_ms and the seq-less persist meta
-// lines aside) are byte-identical whether the run was killed zero or
-// many times, at any thread count.
+// Jobs run in fixed-size chunks. With a checkpoint path, after each chunk
+// the engine atomically rewrites an "xbarlife.ckpt.v1" snapshot (see
+// persist/checkpoint.hpp) holding every completed job's serialized
+// result-document entry, its deterministic summary scalars, and its
+// buffered trace lines. A resumed run restores the completed jobs,
+// executes only the pending ones, and fans everything in strictly in
+// global job order — so the result document and the event stream (t_ms
+// and the seq-less persist meta lines aside) are byte-identical whether
+// the run was killed zero or many times, with or without a checkpoint, at
+// any thread count. Without a checkpoint path the engine skips the load,
+// the saves and the shutdown boundary; nothing else changes.
 //
 // A cooperative shutdown (SIGINT/SIGTERM via common/shutdown.hpp) is
 // honored at chunk boundaries: the previous chunk's snapshot is already
@@ -28,8 +30,7 @@
 namespace xbarlife::core {
 
 struct CheckpointedSweepConfig {
-  /// Snapshot path; must be non-empty (a sweep without persistence is
-  /// just ScenarioRunner::run).
+  /// Snapshot path; empty runs the same grid without persistence.
   std::string checkpoint_path;
   /// Snapshot kind tag ("sweep", "faults"); part of the fingerprint, so
   /// the two grids can never resume each other's files.
@@ -37,9 +38,9 @@ struct CheckpointedSweepConfig {
   /// Extra caller fingerprint material (e.g. the fault-grid identity)
   /// beyond the engine's own job-list/seed fingerprint.
   std::uint64_t config_salt = 0;
-  /// Jobs per chunk (the save cadence). The chunk size — NOT the pool
-  /// size — fixes batch composition, so it must be a constant for a
-  /// given grid; 0 defaults to 16.
+  /// Jobs per chunk (the save cadence, and the batch whose registries
+  /// and profiles merge together). The chunk size — NOT the pool size —
+  /// fixes batch composition; 0 defaults to 16.
   std::size_t chunk = 16;
 };
 
@@ -72,7 +73,7 @@ struct CheckpointedSweepOutcome {
   std::size_t executed_jobs = 0;
   std::size_t failed_jobs = 0;     ///< includes timed-out jobs
   std::size_t timed_out_jobs = 0;
-  std::uint64_t checkpoint_generation = 0;
+  std::uint64_t checkpoint_generation = 0;  ///< 0 without a checkpoint
   bool fallback_used = false;  ///< restored from the .bak generation
   bool resumed = false;        ///< any snapshot was restored
 };
@@ -82,7 +83,10 @@ struct CheckpointedSweepOutcome {
 using EntrySerializer =
     std::function<std::string(std::size_t, const ScenarioSweepEntry&)>;
 
-/// Runs (or resumes) `jobs` through `runner` with per-chunk snapshots.
+/// Runs (or resumes) `jobs` through `runner`, with per-chunk snapshots
+/// when `config.checkpoint_path` is set. Job trace lines reach
+/// `obs.trace` at the end, each job closed by its sweep_job_done event;
+/// job registries and profiles merge into `obs` after every chunk.
 /// Throws IoError when the snapshot belongs to a different grid,
 /// CheckpointError when every snapshot generation is corrupt, and
 /// InterruptedError when a cooperative shutdown left jobs pending.
@@ -91,7 +95,7 @@ CheckpointedSweepOutcome run_checkpointed_sweep(
     const CheckpointedSweepConfig& config,
     const EntrySerializer& serialize_entry, const obs::Obs& obs = {});
 
-/// Console summary for a checkpointed sweep, one row per job.
+/// Console summary, one row per job.
 std::string checkpointed_sweep_table(const CheckpointedSweepOutcome& out);
 
 }  // namespace xbarlife::core

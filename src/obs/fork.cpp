@@ -52,23 +52,28 @@ std::vector<std::string> ObsFork::take_job_lines(std::size_t i) {
 void ObsFork::merge_into(
     const std::function<void(std::size_t)>& after_job) {
   for (std::size_t i = 0; i < labels_.size(); ++i) {
-    if (!children_.empty()) {
-      Child& child = *children_[i];
-      if (parent_.trace_enabled()) {
-        for (const std::string& line : child.sink.lines()) {
-          parent_.trace->emit_line(line);
-        }
-      }
-      if (parent_.metrics_enabled()) {
-        parent_.metrics->merge_from(child.registry);
-      }
-      if (parent_.profile_enabled()) {
-        parent_.profiler->adopt(*child.profiler, labels_[i]);
+    if (!children_.empty() && parent_.trace_enabled()) {
+      for (const std::string& line : children_[i]->sink.lines()) {
+        parent_.trace->emit_line(line);
       }
     }
+    merge_metrics_and_profile(i);
     if (after_job) {
       after_job(i);
     }
+  }
+}
+
+void ObsFork::merge_metrics_and_profile(std::size_t i) {
+  if (children_.empty()) {
+    return;
+  }
+  Child& child = *children_[i];
+  if (parent_.metrics_enabled()) {
+    parent_.metrics->merge_from(child.registry);
+  }
+  if (parent_.profile_enabled()) {
+    parent_.profiler->adopt(*child.profiler, labels_[i]);
   }
 }
 

@@ -1,17 +1,22 @@
 // Deterministic per-job observability contexts for fan-out layers.
 //
-// A fan-out layer (core::ScenarioRunner, core::run_fault_campaign) runs N
-// independent jobs concurrently, but the merged metrics, event stream, and
-// span profile must be byte-identical at any thread count. ObsFork is the
-// one implementation of that plumbing: it forks the parent Obs into N
-// child contexts — a private Registry, an in-memory EventTrace carrying a
-// {"job": label} context field, and a private Profiler, each created only
-// when the parent has the corresponding sink attached — and merges them
-// back strictly in job-index order:
+// A fan-out layer (core::ScenarioRunner::run for plain sweeps and
+// core::run_checkpointed_sweep for `sweep --checkpoint` and every `faults`
+// campaign) runs N independent jobs concurrently, but the merged metrics,
+// event stream, and span profile must be byte-identical at any thread
+// count. ObsFork is the one implementation of that plumbing: it forks the
+// parent Obs into N child contexts — a private Registry, an in-memory
+// EventTrace carrying a {"job": label} context field, and a private
+// Profiler, each created only when the parent has the corresponding sink
+// attached — and merges them back strictly in job-index order:
 //
 //   obs::ObsFork fork(parent, labels);
 //   parallel_for(... { job body uses fork.job(i) ... });
 //   fork.merge_into([&](std::size_t i) { /* per-job summary events */ });
+//
+// The checkpointed engine instead merges each chunk's registries and
+// profiles as the chunk finishes (merge_metrics_and_profile) and keeps the
+// trace lines itself (take_job_lines), persisting them with the snapshot.
 //
 // Each child context is written by exactly one job at a time (the repo's
 // single-writer contract), so no locks are taken on the hot path.
@@ -48,6 +53,11 @@ class ObsFork {
   /// i has been merged — the hook for per-job summary events
   /// (sweep_job_done) that must land between jobs i and i+1.
   void merge_into(const std::function<void(std::size_t)>& after_job = {});
+
+  /// Merges job `i`'s registry into the parent registry and adopts its
+  /// profiler as a display track named by the job label, leaving its trace
+  /// lines buffered. Call at most once per job, in job-index order.
+  void merge_metrics_and_profile(std::size_t i);
 
   /// Moves job `i`'s buffered trace lines out of its child sink (the sink
   /// is left empty). Used by checkpointing fan-outs that persist the lines

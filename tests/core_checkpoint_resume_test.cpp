@@ -23,6 +23,7 @@
 #include "obs/event_trace.hpp"
 #include "obs/sink.hpp"
 #include "persist/checkpoint.hpp"
+#include "trace_canon.hpp"
 #include "xbar/executor.hpp"
 
 namespace xbarlife::core {
@@ -68,41 +69,7 @@ void remove_generations(const std::string& path) {
   std::remove((path + ".bak").c_str());
 }
 
-/// The persist meta events carry no seq and depend on the kill pattern,
-/// so the resume contract excludes them (docs/output_schema.md).
-bool is_meta_line(const std::string& line) {
-  return line.rfind("{\"event\":\"checkpoint_saved\"", 0) == 0 ||
-         line.rfind("{\"event\":\"resume\"", 0) == 0;
-}
-
-/// Drops one wall-clock field (t_ms / wall_ms) from an event line.
-std::string strip_field(std::string line, const std::string& name) {
-  const std::string needle = ",\"" + name + "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) {
-    return line;
-  }
-  std::size_t end = pos + needle.size();
-  while (end < line.size() && line[end] != ',' && line[end] != '}') {
-    ++end;
-  }
-  line.erase(pos, end - pos);
-  return line;
-}
-
-/// Canonical trace text for resume comparisons: meta lines dropped, the
-/// wall-clock fields (t_ms, span wall_ms) stripped, one event per line.
-std::string canonical_trace(const std::vector<std::string>& lines) {
-  std::string out;
-  for (const std::string& line : lines) {
-    if (is_meta_line(line)) {
-      continue;
-    }
-    out += strip_field(strip_field(line, "t_ms"), "wall_ms");
-    out += '\n';
-  }
-  return out;
-}
+using test::canonical_trace;
 
 // ---------------------------------------------------------------------
 // Trainer: per-epoch snapshots.
@@ -110,17 +77,10 @@ std::string canonical_trace(const std::vector<std::string>& lines) {
 TrainHistory run_trainer_checkpointed(const ExperimentConfig& cfg,
                                       const std::string& path,
                                       obs::EventTrace* trace) {
-  // Mirrors train_model(skewed=true) step for step — a resumed process
-  // reconstructs the same fresh state before restoring the snapshot.
-  Rng rng(cfg.seed);
-  const data::TrainTest data = data::make_synthetic(cfg.dataset);
-  nn::Network net = build_model(cfg, rng);
-  const auto reg = make_skewed_regularizer(cfg.skew);
-  Trainer trainer(net, data, cfg.train_config, reg.get());
   persist::CheckpointStore store(path);
   obs::Obs obs;
   obs.trace = trace;
-  return trainer.run(obs, &store);
+  return train_model(cfg, /*skewed=*/true, obs, &store).history;
 }
 
 TEST(TrainerCheckpoint, KillAtEveryEpochBoundaryResumesBitIdentically) {
@@ -413,11 +373,13 @@ TEST(Watchdog, FaultCampaignCountsTimedOutJobs) {
   clean.label = "clean";
   cc.points.push_back(clean);
   cc.job_timeout_ms = 0.001;
-  const FaultCampaignResult result = run_fault_campaign(cc);
+  const CheckpointedSweepOutcome result = run_fault_campaign(cc);
   EXPECT_EQ(result.timed_out_jobs, result.jobs.size());
   // Timed-out jobs are failed jobs: the --strict gate trips on them.
   EXPECT_EQ(result.failed_jobs, result.jobs.size());
-  EXPECT_NE(fault_campaign_json(result).dump().find("\"timed_out\":true"),
+  EXPECT_NE(fault_campaign_json(cc.campaign_seed, result)
+                .dump()
+                .find("\"timed_out\":true"),
             std::string::npos);
 }
 

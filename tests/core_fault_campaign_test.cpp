@@ -1,6 +1,7 @@
 // Fault-injection campaign engine: grid validation, per-job error
 // isolation, thread-count determinism of the full result document, and
-// byte-identical checkpoint resume (the "kill -9 the campaign" gate).
+// byte-identical checkpoint resume (the "kill -9 the campaign" gate): one
+// document and one trace whether or not a checkpoint is attached.
 #include "core/fault_campaign.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,9 @@
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
+#include "obs/event_trace.hpp"
+#include "obs/sink.hpp"
+#include "trace_canon.hpp"
 
 namespace xbarlife::core {
 namespace {
@@ -68,6 +72,8 @@ std::string read_file(const std::string& path) {
   return out.str();
 }
 
+using test::canonical_trace;
+
 TEST(FaultCampaignConfig, RejectsBadGrids) {
   FaultCampaignConfig cc = tiny_campaign();
   cc.points.clear();
@@ -96,10 +102,10 @@ TEST(FaultCampaign, ThreadedRunMatchesSerialByteForByte) {
 
   set_parallel_threads(1);
   const std::string serial =
-      fault_campaign_json(run_fault_campaign(cc)).dump();
+      fault_campaign_json(cc.campaign_seed, run_fault_campaign(cc)).dump();
   set_parallel_threads(4);
   const std::string threaded =
-      fault_campaign_json(run_fault_campaign(cc)).dump();
+      fault_campaign_json(cc.campaign_seed, run_fault_campaign(cc)).dump();
 
   EXPECT_EQ(serial, threaded);
   EXPECT_NE(serial.find("\"label\":\"faulty/ST+AT/r1\""),
@@ -113,40 +119,80 @@ TEST(FaultCampaign, FailedJobsAreRecordedNotFatal) {
   // inside the fan-out. The campaign must record the failures per entry
   // and still assemble a complete result document.
   cc.base.lifetime.levels = 1;
-  const FaultCampaignResult result = run_fault_campaign(cc);
+  const CheckpointedSweepOutcome result = run_fault_campaign(cc);
   ASSERT_EQ(result.jobs.size(), 2u);
   EXPECT_EQ(result.failed_jobs, result.jobs.size());
-  const std::string doc = fault_campaign_json(result).dump();
+  const std::string doc = fault_campaign_json(cc.campaign_seed, result).dump();
   EXPECT_NE(doc.find("\"failed\":true"), std::string::npos);
   EXPECT_NE(doc.find("two levels"), std::string::npos);
+}
+
+/// Runs `cc` with an in-memory trace; returns the campaign document and
+/// fills `lines` with the event stream.
+std::string traced_campaign(const FaultCampaignConfig& cc,
+                            CheckpointedSweepOutcome& outcome,
+                            std::vector<std::string>& lines) {
+  obs::MemorySink sink;
+  obs::EventTrace trace(&sink);
+  obs::Obs obs;
+  obs.trace = &trace;
+  outcome = run_fault_campaign(cc, obs);
+  lines = sink.lines();
+  return fault_campaign_json(cc.campaign_seed, outcome).dump();
 }
 
 TEST(FaultCampaign, CheckpointResumeIsByteIdentical) {
   ThreadGuard guard;
   set_parallel_threads(2);
+  // 9 points x 2 replicates = 18 jobs: more than one 16-job chunk.
   FaultCampaignConfig cc = tiny_campaign();
+  for (int p = 1; p <= 7; ++p) {
+    FaultPoint point;
+    point.label = "wn" + std::to_string(p);
+    point.faults.nonideal.write_noise_sigma = 0.01 * p;
+    cc.points.push_back(point);
+  }
 
-  // Reference: one uninterrupted run, no checkpoint.
-  const std::string reference =
-      fault_campaign_json(run_fault_campaign(cc)).dump();
+  // Reference: one uninterrupted run, no checkpoint. Every
+  // sweep_job_done carries the job's global index, in order.
+  CheckpointedSweepOutcome plain;
+  std::vector<std::string> plain_lines;
+  const std::string reference = traced_campaign(cc, plain, plain_lines);
+  ASSERT_EQ(plain.jobs.size(), 18u);
+  const std::string reference_trace = canonical_trace(plain_lines);
+  std::size_t next = 0;
+  for (const std::string& line : plain_lines) {
+    if (line.rfind("{\"event\":\"sweep_job_done\"", 0) != 0) {
+      continue;
+    }
+    EXPECT_NE(line.find(",\"index\":" + std::to_string(next) + ","),
+              std::string::npos)
+        << line;
+    ++next;
+  }
+  EXPECT_EQ(next, plain.jobs.size());
 
-  // Full checkpointed run: 4 jobs in chunks of 3 -> generation 1 (3 jobs
-  // done) rotates into the .bak slot when generation 2 (all done) lands.
+  // Full checkpointed run: 18 jobs in chunks of 10 -> generation 1 (10
+  // jobs done) rotates into the .bak slot when generation 2 (all done)
+  // lands. Neither the checkpoint nor the chunking shows in the document
+  // or the trace.
   const std::string path = ::testing::TempDir() + "xbarlife_ck.ckpt";
   std::remove(path.c_str());
   std::remove((path + ".bak").c_str());
   cc.checkpoint_path = path;
-  cc.checkpoint_chunk = 3;
-  const FaultCampaignResult full = run_fault_campaign(cc);
+  cc.checkpoint_chunk = 10;
+  CheckpointedSweepOutcome full;
+  std::vector<std::string> full_lines;
+  EXPECT_EQ(traced_campaign(cc, full, full_lines), reference);
+  EXPECT_EQ(canonical_trace(full_lines), reference_trace);
   EXPECT_EQ(full.resumed_jobs, 0u);
   EXPECT_EQ(full.executed_jobs, full.jobs.size());
   EXPECT_EQ(full.checkpoint_generation, 2u);
   EXPECT_FALSE(full.fallback_used);
-  EXPECT_EQ(fault_campaign_json(full).dump(), reference);
 
   // Simulate a crash mid-write: flip the newest snapshot's last payload
   // byte. The resume must reject it (checksum) and fall back to the .bak
-  // generation, replaying its 3 completed jobs and running only the rest.
+  // generation, replaying its 10 completed jobs and running only the rest.
   {
     std::string bytes = read_file(path);
     ASSERT_FALSE(bytes.empty());
@@ -155,11 +201,13 @@ TEST(FaultCampaign, CheckpointResumeIsByteIdentical) {
     out << bytes;
   }
 
-  const FaultCampaignResult resumed = run_fault_campaign(cc);
-  EXPECT_EQ(resumed.resumed_jobs, 3u);
-  EXPECT_EQ(resumed.executed_jobs, resumed.jobs.size() - 3);
+  CheckpointedSweepOutcome resumed;
+  std::vector<std::string> resumed_lines;
+  EXPECT_EQ(traced_campaign(cc, resumed, resumed_lines), reference);
+  EXPECT_EQ(canonical_trace(resumed_lines), reference_trace);
+  EXPECT_EQ(resumed.resumed_jobs, 10u);
+  EXPECT_EQ(resumed.executed_jobs, resumed.jobs.size() - 10);
   EXPECT_TRUE(resumed.fallback_used);
-  EXPECT_EQ(fault_campaign_json(resumed).dump(), reference);
   std::remove(path.c_str());
   std::remove((path + ".bak").c_str());
 }

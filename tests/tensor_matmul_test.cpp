@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <exception>
+#include <future>
 #include <limits>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -170,6 +178,51 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(33, 65, 31), std::make_tuple(64, 64, 1),
                       std::make_tuple(100, 50, 75),
                       std::make_tuple(5, 128, 5)));
+
+// A GEMM above the inline threshold (2 * 256^3 flops), issued from inside
+// a parallel_for body on a threaded pool: computing its row grain must not
+// wait on the pool's dispatch lock, which the outer parallel_for holds for
+// the whole job. A watchdog turns a deadlock into a failed test.
+TEST(Matmul, LargeGemmInsideParallelForMatchesSerial) {
+  Rng rng(21);
+  const Tensor a = random_matrix(256, 256, rng);
+  const Tensor b = random_matrix(256, 256, rng);
+  set_parallel_threads(1);
+  const Tensor serial = matmul(a, b);
+
+  std::vector<Tensor> nested(4);
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread runner([&] {
+    try {
+      set_parallel_threads(4);
+      parallel_for(0, 4, 1, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          nested[i] = matmul(a, b);
+        }
+      });
+      set_parallel_threads(1);
+      done.set_value();
+    } catch (...) {
+      done.set_exception(std::current_exception());
+    }
+  });
+  if (finished.wait_for(std::chrono::seconds(60)) !=
+      std::future_status::ready) {
+    std::fprintf(stderr,
+                 "matmul inside parallel_for did not finish in 60 s "
+                 "(deadlock)\n");
+    std::_Exit(1);
+  }
+  runner.join();
+  finished.get();
+  for (const Tensor& c : nested) {
+    ASSERT_EQ(c.numel(), serial.numel());
+    EXPECT_EQ(std::memcmp(c.data(), serial.data(),
+                          serial.numel() * sizeof(float)),
+              0);
+  }
+}
 
 }  // namespace
 }  // namespace xbarlife
